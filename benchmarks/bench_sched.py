@@ -1,39 +1,27 @@
-"""Scheduler/backend benchmark and perf trend (BENCH_sched.json).
+"""Scheduler benchmark and perf trend (BENCH_sched.json).
 
-Measures the wall-clock effect of the session's execution strategies
-against the dense reference loop at the two tracked configurations —
-12 µcores (the event scheduler's headline point) and 4 µcores (the
-configuration that regressed under the event loop before the adaptive
-policy) — for both backends:
-
-* ``scalar``   — the default session (adaptive loop choice), scalar
-  record-at-a-time execution;
-* ``vector``   — the default session with the vectorized backend
-  (columnar decode, precomputed filter plan, batched stall windows);
-* ``compiled`` — vector plus the hotpath kernels
-  (:mod:`repro.hotpath`); rows record whether the C-compiled build
-  was live (``hotpath_compiled``) or the bit-identical interpreted
-  fallback ran.
+Measures the wall-clock effect of the default session — the adaptive
+policy that picks the event-driven or the dense loop per run from the
+built engine mix — against the dense reference loop at the two
+tracked configurations: 12 µcores (the event scheduler's headline
+point) and 4 µcores (the configuration that regressed under the event
+loop before the adaptive policy).
 
 Results land in ``BENCH_sched.json`` (repo root or
 ``REPRO_BENCH_OUT``): ``rows`` holds the latest snapshot, and every
-run *appends* one entry per (configuration, backend) to ``trend`` —
-tagged with git SHA, date and backend — so the artifact accumulates a
-perf trajectory across PRs instead of overwriting it (re-runs at one
+run *appends* one ``session: adaptive`` entry per configuration to
+``trend`` — tagged with git SHA and date — so the artifact accumulates
+a perf trajectory across PRs instead of overwriting it (re-runs at one
 commit replace their earlier same-configuration entry).
 
 Every timed pairing also asserts bit-identity, so the benchmark
 doubles as an end-to-end A/B check on real workloads, and every row
 asserts its speedup over dense — the "no configuration slower than
-dense" guarantee.  ``REPRO_PROFILE=1`` prints the session's
-per-component wall-time breakdown for the headline configuration.
+dense" guarantee.
 
-``REPRO_PERF_GATE=1`` additionally fails the run when the vector or
-compiled simulated-cycle rate drops more than 15 % below the best
-rate recorded in the trend for the same configuration (compiled rates
-compare only against same-mode entries), and — when the C-compiled
-build is live — when compiled fails its ≥3x acceptance target over
-vector at the 12-µcore headline point.
+``REPRO_PERF_GATE=1`` additionally fails the run when the adaptive
+session's simulated-cycle rate drops more than 15 % below the best
+rate recorded in the trend for the same configuration.
 """
 
 import json
@@ -81,25 +69,15 @@ def _out_path() -> Path:
     return Path(__file__).resolve().parent.parent / "BENCH_sched.json"
 
 
-#: Backends timed against the dense reference (trend entry per each).
-BACKENDS = ("scalar", "vector", "compiled")
-#: Acceptance target for the C-compiled hotpath at the 12-µcore
-#: headline point: ≥3x the vector backend's wall-clock (gated only
-#: when a compiled artifact is live — the interpreted fallback is held
-#: to dense parity like every other configuration).
-COMPILED_TARGET = 3.0
-
-
 def _sessions(engines: int):
-    """(dense reference, adaptive scalar, adaptive vector, adaptive
-    compiled) sessions on identically built systems."""
-    def fresh(dense, backend):
+    """(dense reference, adaptive default) sessions on identically
+    built systems."""
+    def fresh(dense):
         return SimulationSession(
             FireGuardSystem([make_kernel("asan")],
                             engines_per_kernel={"asan": engines}),
-            dense=dense, backend=backend)
-    return (fresh(True, "scalar"), fresh(None, "scalar"),
-            fresh(None, "vector"), fresh(None, "compiled"))
+            dense=dense)
+    return fresh(True), fresh(None)
 
 
 def _run_all(session, traces):
@@ -112,33 +90,27 @@ def _run_all(session, traces):
 
 
 def _measure(engines: int) -> dict:
-    """Interleaved best-of-N timing of dense / scalar / vector /
-    compiled over the benchmark set; returns one snapshot row.
+    """Interleaved best-of-N timing of dense / adaptive over the
+    benchmark set; returns one snapshot row.
 
     One untimed warm-up pass first (interpreter and cache warm-up),
-    then each timed round measures all four strategies back to back,
-    rotating which goes first so no contender systematically lands on
+    then each timed round measures both sessions back to back,
+    alternating which goes first so neither systematically lands on
     the noisy slice of a shared host.  Times and speedups both use
     best-of-rounds: scheduling noise only ever *adds* time, so the
-    minimum is the least-contaminated estimate of each strategy's
+    minimum is the least-contaminated estimate of each session's
     true cost.
     """
     traces = [generate_trace(PARSEC_PROFILES[name], seed=5,
                              length=TRACE_LEN)
               for name in bench_set()]
-    dense_sess, scalar_sess, vector_sess, compiled_sess = \
-        _sessions(engines)
+    dense_sess, adaptive_sess = _sessions(engines)
     reference = _run_all(dense_sess, traces)
-    assert reference == _run_all(scalar_sess, traces), \
-        f"scalar session diverged from dense at {engines} engines"
-    assert reference == _run_all(vector_sess, traces), \
-        f"vector backend diverged from dense at {engines} engines"
-    assert reference == _run_all(compiled_sess, traces), \
-        f"compiled backend diverged from dense at {engines} engines"
+    assert reference == _run_all(adaptive_sess, traces), \
+        f"adaptive session diverged from dense at {engines} engines"
     sim_cycles = sum(result.cycles for result in reference)
 
-    contenders = [(dense_sess, "dense"), (scalar_sess, "scalar"),
-                  (vector_sess, "vector"), (compiled_sess, "compiled")]
+    contenders = [(dense_sess, "dense"), (adaptive_sess, "adaptive")]
     best = {name: float("inf") for _, name in contenders}
     for round_index in range(ROUNDS):
         shift = round_index % len(contenders)
@@ -148,8 +120,6 @@ def _measure(engines: int) -> dict:
             _run_all(session, traces)
             elapsed = time.perf_counter() - t0
             best[which] = min(best[which], elapsed)
-    speedup = {which: best["dense"] / best[which]
-               for which in BACKENDS}
 
     # Untimed pass to aggregate skip statistics across the whole set
     # (session reset zeroes counters between traces).
@@ -157,10 +127,10 @@ def _measure(engines: int) -> dict:
             "engine_ticks_skipped")
     totals = dict.fromkeys(keys, 0)
     for trace in traces:
-        if vector_sess.dirty:
-            vector_sess.reset()
-        vector_sess.run(trace)
-        stats = vector_sess.stats()
+        if adaptive_sess.dirty:
+            adaptive_sess.reset()
+        adaptive_sess.run(trace)
+        stats = adaptive_sess.stats()
         for key in keys:
             totals[key] += stats[key]
     return {
@@ -168,173 +138,94 @@ def _measure(engines: int) -> dict:
         "benchmarks": list(bench_set()),
         "trace_len": TRACE_LEN,
         "dense_s": round(best["dense"], 4),
-        "scalar_s": round(best["scalar"], 4),
-        "vector_s": round(best["vector"], 4),
-        "compiled_s": round(best["compiled"], 4),
-        "scalar_speedup": round(speedup["scalar"], 4),
-        "vector_speedup": round(speedup["vector"], 4),
-        "compiled_speedup": round(speedup["compiled"], 4),
-        "compiled_vs_vector": round(
-            best["vector"] / best["compiled"], 4),
-        "hotpath_compiled": compiled_sess.hotpath_compiled,
+        "adaptive_s": round(best["adaptive"], 4),
+        "speedup": round(best["dense"] / best["adaptive"], 4),
         "sim_cycles": sim_cycles,
-        "vector_cycle_rate": round(sim_cycles / best["vector"], 1),
-        "compiled_cycle_rate": round(
-            sim_cycles / best["compiled"], 1),
+        "cycle_rate": round(sim_cycles / best["adaptive"], 1),
         **totals,
     }
 
 
 def _measure_gated(engines: int) -> dict:
-    """Measure, re-measuring once if a speedup lands under the gate.
+    """Measure, re-measuring once if the speedup lands under the gate.
 
     The container's background load arrives in multi-second bursts
     that can swallow every round of one contender; a genuine
     regression reproduces across two independent measurements, a
-    burst does not.  The merged row keeps each strategy's overall
-    best time and the better of the two speedup estimates.
+    burst does not.  The merged row keeps each session's overall best
+    time and the better of the two speedup estimates.
     """
     row = _measure(engines)
-    floor = MIN_SPEEDUP - JITTER
-    if min(row[f"{which}_speedup"] for which in BACKENDS) >= floor:
+    if row["speedup"] >= MIN_SPEEDUP - JITTER:
         return row
     retry = _measure(engines)
-    for which in ("dense", *BACKENDS):
+    for which in ("dense", "adaptive"):
         row[f"{which}_s"] = min(row[f"{which}_s"], retry[f"{which}_s"])
-    for which in BACKENDS:
-        key = f"{which}_speedup"
-        row[key] = max(row[key], retry[key])
-    row["compiled_vs_vector"] = round(
-        row["vector_s"] / row["compiled_s"], 4)
-    for which in ("vector", "compiled"):
-        row[f"{which}_cycle_rate"] = round(
-            row["sim_cycles"] / row[f"{which}_s"], 1)
+    row["speedup"] = max(row["speedup"], retry["speedup"])
+    row["cycle_rate"] = round(row["sim_cycles"] / row["adaptive_s"], 1)
     return row
 
 
-def _load_trend(path: Path) -> list[dict]:
-    """Existing trend entries, migrating any pre-trend snapshot rows
-    (the overwrite-era format) into backend-tagged entries once."""
-    trend = load_trend(path)
-    if trend or not path.exists():
-        return trend
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return []
-    for row in data.get("rows", []):
-        if "event_s" in row:  # overwrite-era schema
-            trend.append({
-                "git_sha": "pre-trend", "date": None,
-                "backend": "scalar", "engines": row.get("engines"),
-                "trace_len": row.get("trace_len"),
-                "dense_s": row.get("dense_s"),
-                "seconds": row.get("event_s"),
-                "speedup": row.get("speedup"),
-            })
-    return trend
-
-
 def _trend_entries(rows: list[dict], stamp: dict) -> list[dict]:
-    entries = []
-    for row in rows:
-        for backend in BACKENDS:
-            entry = {
-                **stamp,
-                "backend": backend,
-                "engines": row["engines"],
-                "trace_len": row["trace_len"],
-                "dense_s": row["dense_s"],
-                "seconds": row[f"{backend}_s"],
-                "speedup": row[f"{backend}_speedup"],
-            }
-            if backend in ("vector", "compiled"):
-                entry["cycle_rate"] = row[f"{backend}_cycle_rate"]
-            if backend == "compiled":
-                # Compiled rates are only comparable within one mode:
-                # the interpreted fallback is ~an order of magnitude
-                # off the C build, so entries carry the mode and the
-                # gate filters on it.
-                entry["hotpath_compiled"] = row["hotpath_compiled"]
-                entry["vs_vector"] = row["compiled_vs_vector"]
-            entries.append(entry)
-    return entries
+    return [{
+        **stamp,
+        "session": "adaptive",
+        "engines": row["engines"],
+        "trace_len": row["trace_len"],
+        "dense_s": row["dense_s"],
+        "seconds": row["adaptive_s"],
+        "speedup": row["speedup"],
+        "cycle_rate": row["cycle_rate"],
+    } for row in rows]
 
 
 def _check_perf_gate(rows: list[dict], trend: list[dict]) -> None:
-    """Fail when the vector or compiled cycle rate regresses >15 %
+    """Fail when the adaptive session's cycle rate regresses >15 %
     below the best rate the trend has recorded for the same
-    configuration (and, for compiled, the same hotpath mode)."""
+    configuration (entries from before the adaptive rows existed
+    carry no ``session`` tag and never match)."""
     for row in rows:
-        for backend in ("vector", "compiled"):
-            reference = [
-                entry.get("cycle_rate") for entry in trend
-                if entry.get("backend") == backend
-                and entry.get("engines") == row["engines"]
-                and entry.get("trace_len") == row["trace_len"]
-                and entry.get("cycle_rate")
-                and (backend != "compiled"
-                     or entry.get("hotpath_compiled")
-                     == row["hotpath_compiled"])]
-            if not reference:
-                continue
-            floor = max(reference) * (1.0 - PERF_GATE_DROP)
-            rate = row[f"{backend}_cycle_rate"]
-            assert rate >= floor, (
-                f"{backend} cycle rate regressed at "
-                f"{row['engines']} engines: {rate}/s vs best recorded "
-                f"{max(reference)}/s (floor {floor:.1f}/s)")
+        reference = [
+            entry["cycle_rate"] for entry in trend
+            if entry.get("session") == "adaptive"
+            and entry.get("engines") == row["engines"]
+            and entry.get("trace_len") == row["trace_len"]
+            and entry.get("cycle_rate")]
+        if not reference:
+            continue
+        floor = max(reference) * (1.0 - PERF_GATE_DROP)
+        rate = row["cycle_rate"]
+        assert rate >= floor, (
+            f"adaptive cycle rate regressed at {row['engines']} "
+            f"engines: {rate}/s vs best recorded {max(reference)}/s "
+            f"(floor {floor:.1f}/s)")
 
 
-def _print_profile(engines: int) -> None:
-    """One profiled run of the headline configuration: print the
-    session's per-component wall-time breakdown (``REPRO_PROFILE=1``
-    is read by the session constructor, so the sessions built here are
-    already wrapped)."""
-    trace = generate_trace(PARSEC_PROFILES[bench_set()[0]], seed=5,
-                           length=TRACE_LEN)
-    *_, compiled_sess = _sessions(engines)
-    compiled_sess.run(trace)
-    stats = compiled_sess.stats()
-    buckets = {key[len("profile_"):]: value
-               for key, value in stats.items()
-               if key.startswith("profile_")}
-    total = sum(buckets.values()) or 1.0
-    print(f"\nper-component profile ({engines} µcores, "
-          f"{bench_set()[0]}, compiled backend, "
-          f"hotpath_compiled={compiled_sess.hotpath_compiled}):")
-    for bucket, seconds in sorted(buckets.items(),
-                                  key=lambda item: -item[1]):
-        print(f"  {bucket:<10} {seconds * 1e3:9.2f} ms "
-              f"({100 * seconds / total:5.1f} %)")
-
-
-def test_backend_speedups_and_trend(benchmark):
-    """The acceptance points: the vector backend beats dense at 12
-    µcores, no tracked configuration is slower than dense under any
-    backend (the compiled backend's interpreted fallback included),
-    and the measurement lands in the trend artifact."""
+def test_adaptive_speedup_and_trend(benchmark):
+    """The acceptance points: the adaptive session beats dense at 12
+    µcores, no tracked configuration is slower than dense, and the
+    measurement lands in the trend artifact."""
     row12 = _measure_gated(engines=12)
 
     # Give pytest-benchmark one representative timed run for its table.
     trace = generate_trace(PARSEC_PROFILES[bench_set()[0]], seed=5,
                            length=TRACE_LEN)
-    _, _, vector_sess, _ = _sessions(12)
+    _, adaptive_sess = _sessions(12)
 
     def run():
-        if vector_sess.dirty:
-            vector_sess.reset()
-        return vector_sess.run(trace).cycles
+        if adaptive_sess.dirty:
+            adaptive_sess.reset()
+        return adaptive_sess.run(trace).cycles
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0
 
     rows = [row12, _measure_gated(engines=4)]
     out = _out_path()
-    trend = _load_trend(out)
+    trend = load_trend(out)
     if PERF_GATE:
         _check_perf_gate(rows, trend)
     trend = append_trend(trend, _trend_entries(rows, trend_stamp()),
-                         config_keys=("backend", "engines",
+                         config_keys=("session", "engines",
                                       "trace_len"))
     # Peak RSS rides along so the bounded-memory trajectory (see
     # bench_stream.py) is tracked across every BENCH_* artifact.
@@ -344,26 +235,13 @@ def test_backend_speedups_and_trend(benchmark):
                                "peak_rss_kb": peak_rss_kb},
                               indent=2) + "\n")
 
-    if os.environ.get("REPRO_PROFILE", "") == "1":
-        _print_profile(engines=12)
-
     assert row12["low_cycles_skipped"] > 0
-    # "No configuration slower than dense": every row, every backend.
+    # "No configuration slower than dense": every row.
     for row in rows:
-        for backend in BACKENDS:
-            speedup = row[f"{backend}_speedup"]
-            assert speedup >= MIN_SPEEDUP - JITTER, (
-                f"{backend} backend slower than dense at "
-                f"{row['engines']} engines: {row}")
-    # The headline point keeps a genuine margin, not just parity: the
-    # better backend at 12 µcores must beat dense even after jitter.
-    assert max(row12["scalar_speedup"], row12["vector_speedup"],
-               row12["compiled_speedup"]) >= MIN_SPEEDUP + JITTER, (
-        f"no backend meaningfully faster at 12 µcores: {row12}")
-    # The compiled acceptance target (≥3x over vector at 12 µcores)
-    # only applies when a C build is live, and only under the perf
-    # gate — wall-clock multiples are not for noisy default runs.
-    if PERF_GATE and row12["hotpath_compiled"]:
-        assert row12["compiled_vs_vector"] >= COMPILED_TARGET, (
-            f"compiled hotpath under its {COMPILED_TARGET}x target "
-            f"over vector at 12 µcores: {row12}")
+        assert row["speedup"] >= MIN_SPEEDUP - JITTER, (
+            f"adaptive session slower than dense at "
+            f"{row['engines']} engines: {row}")
+    # The headline point keeps a genuine margin, not just parity.
+    assert row12["speedup"] >= MIN_SPEEDUP + JITTER, (
+        f"adaptive session not meaningfully faster at 12 µcores: "
+        f"{row12}")

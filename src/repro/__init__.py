@@ -46,22 +46,16 @@ master/worker fleet (:mod:`repro.fabric`) — every harness fans out
 over the network unchanged, with the same records and the same warm
 store (``python -m repro.fabric master`` / ``worker HOST:PORT``).
 
-``REPRO_BACKEND=compiled`` runs the per-cycle inner loops (µcore ISS
-tick, OoO core step) as a C extension built from
-:mod:`repro.hotpath`'s kernels (``python -m repro.hotpath.build``,
-mypyc or Cython); with no toolchain or artifact the same sources run
-interpreted, bit-identically, so the flag is always safe.
-
 See DESIGN.md for the architecture map and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 from repro.core.config import FireGuardConfig
 from repro.core.system import FireGuardSystem, SystemResult, run_baseline
 from repro.kernels import KERNELS, make_kernel
-from repro.runner import RunRecord, RunSpec, SweepRunner, sweep
+from repro.runner import RunRecord, RunSpec, sweep
 from repro.service import Client, ResultStore, RunHandle, default_client
 from repro.sim import SimulationSession
 from repro.trace.generator import generate_trace
@@ -92,7 +86,6 @@ __all__ = [
     "Scenario",
     "SimulationSession",
     "StreamedTrace",
-    "SweepRunner",
     "SystemResult",
     "__version__",
     "compose_stream",

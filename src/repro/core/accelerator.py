@@ -47,31 +47,17 @@ class HardwareAccelerator(Instrumented):
         self.queue = queue
         self.on_alert = on_alert
         self.throughput = throughput
-        # Per-run vectorized pre-check plan (REPRO_BACKEND=vector):
-        # verdicts precomputed per record, scalar check() only on the
-        # rows the array pass flagged as interesting.
-        self._plan = None
         self.stat_packets = 0
         self.stat_alerts = 0
 
-    def use_plan(self, plan) -> None:
-        """Attach a :class:`~repro.core.vector.EngineCheckPlan` for
-        the run about to start (cleared by :meth:`reset`)."""
-        self._plan = plan
-
     def tick(self, low_cycle: int) -> None:
-        plan = self._plan
         for _ in range(self.throughput):
             if self.queue.empty:
                 return
             self.queue.pop(0)
             packet = self.queue.recent_packet
             self.stat_packets += 1
-            if plan is not None:
-                verdict = plan.verdict(self, packet, low_cycle)
-            else:
-                verdict = self.check(packet, low_cycle)
-            if verdict:
+            if self.check(packet, low_cycle):
                 self.stat_alerts += 1
                 self.on_alert(self.engine_id, packet, low_cycle)
 
@@ -101,7 +87,6 @@ class HardwareAccelerator(Instrumented):
     def reset(self) -> None:
         """Power-on state (session reset); subclasses reset their
         checking state via :meth:`_reset_state`."""
-        self._plan = None
         self._reset_state()
         self.reset_stats()
 

@@ -50,10 +50,6 @@ class EventFilter(Instrumented):
         self._arbiter_next = 0   # next sequence number to emit
         self._lane_rr = 0
         self._pending = 0        # packets buffered across all FIFOs
-        # Per-run vectorized decision plan (REPRO_BACKEND=vector); the
-        # offer path consumes one precomputed row per accepted offer
-        # instead of the per-record SRAM lookup + capture.
-        self._plan = None
         self.stat_full_cycles = 0      # cycles some lane FIFO was full
         self.stat_valid_packets = 0
         self.stat_invalid_packets = 0
@@ -69,14 +65,6 @@ class EventFilter(Instrumented):
     def clear_programming(self) -> None:
         self.minifilters[0].clear()
 
-    def use_plan(self, plan) -> None:
-        """Attach a :class:`~repro.core.vector.FrontEndPlan` for the
-        run about to start (cleared by :meth:`reset`).  The plan's rows
-        are the precomputed outcome of exactly the lookups and captures
-        the scalar path would perform, so every statistic and timing
-        side effect below is reproduced bit for bit."""
-        self._plan = plan
-
     # -- session reset -----------------------------------------------------
     def reset(self) -> None:
         """Drop all queued packets and counters; keep the SRAM
@@ -87,7 +75,6 @@ class EventFilter(Instrumented):
         self._arbiter_next = 0
         self._lane_rr = 0
         self._pending = 0
-        self._plan = None
         self.reset_stats()
 
     # -- commit side (high domain) ---------------------------------------
@@ -100,37 +87,16 @@ class EventFilter(Instrumented):
         fifo = self._fifos[lane % self.width]
         if len(fifo) >= self.fifo_depth:
             return False
-        plan = self._plan
-        if plan is not None:
-            # Vector backend: the row for this commit-order sequence
-            # number holds the precomputed lookup/capture outcome.
-            # Mini-filter statistics still advance per offer (the SRAM
-            # is still read in hardware; only the model is batched).
-            seq = self._seq
-            matched, gid, addr, data, meta, prf = plan.take(seq)
-            mini = self.minifilters[lane % self.width]
-            mini.stat_lookups += 1
-            if not matched:
-                fifo.append(Packet.invalid(seq))
-                self.stat_invalid_packets += 1
-            else:
-                mini.stat_matches += 1
-                self.forwarding.note_capture(prf, cycle)
-                fifo.append(Packet.from_fields(
-                    seq, gid, record.pc, addr, data, meta,
-                    record.attack_id, cycle * self._high_period_ns))
-                self.stat_valid_packets += 1
+        mini = self.minifilters[lane % self.width]
+        entry = mini.lookup(record.opcode, record.funct3)
+        if entry is None:
+            fifo.append(Packet.invalid(self._seq))
+            self.stat_invalid_packets += 1
         else:
-            mini = self.minifilters[lane % self.width]
-            entry = mini.lookup(record.opcode, record.funct3)
-            if entry is None:
-                fifo.append(Packet.invalid(self._seq))
-                self.stat_invalid_packets += 1
-            else:
-                commit_ns = cycle * self._high_period_ns
-                fifo.append(self.forwarding.capture(
-                    record, entry, self._seq, cycle, commit_ns))
-                self.stat_valid_packets += 1
+            commit_ns = cycle * self._high_period_ns
+            fifo.append(self.forwarding.capture(
+                record, entry, self._seq, cycle, commit_ns))
+            self.stat_valid_packets += 1
         self._seq += 1
         self._pending += 1
         return True

@@ -51,21 +51,3 @@ class DataForwardingChannel(Instrumented):
             self._prf.preempt_port(cycle + 1)
             self.stat_prf_reads += 1
         return packet
-
-    @property
-    def prf_attached(self) -> bool:
-        """Whether captures can preempt a PRF port (plan building
-        needs to bake the ``self._prf is not None`` leg of the
-        condition above into the precomputed flag)."""
-        return self._prf is not None
-
-    def note_capture(self, prf_read: bool, cycle: int) -> None:
-        """Account one capture whose packet was built from a
-        precomputed plan row: same statistics and PRF-preemption
-        timing as :meth:`capture`, without re-deriving the decision.
-        ``prf_read`` already includes every leg of the scalar
-        condition (dp_sel, result class, PRF attached)."""
-        self.stat_packets += 1
-        if prf_read:
-            self._prf.preempt_port(cycle + 1)
-            self.stat_prf_reads += 1

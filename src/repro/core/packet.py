@@ -89,26 +89,6 @@ class Packet:
         self.meta = meta
 
     @classmethod
-    def from_fields(cls, seq: int, gid: int, pc: int, addr: int,
-                    data: int, meta: int, attack_id: int | None,
-                    commit_ns: float) -> "Packet":
-        """A valid packet from precomputed word values (the vector
-        backend's sparse hand-off: the per-chunk array pass already
-        derived ``addr``/``data``/``meta`` exactly as ``__init__``
-        would from the record)."""
-        pkt = object.__new__(cls)
-        pkt.seq = seq
-        pkt.gid = gid
-        pkt.valid = True
-        pkt.pc = pc
-        pkt.addr = addr
-        pkt.data = data
-        pkt.meta = meta
-        pkt.attack_id = attack_id
-        pkt.commit_ns = commit_ns
-        return pkt
-
-    @classmethod
     def invalid(cls, seq: int) -> "Packet":
         """An ordering placeholder for a discarded instruction (§III-B:
         invalid packets keep FIFO contents in commit order; the arbiter

@@ -106,17 +106,13 @@ def make_spec(benchmark: str, kernel_names: tuple[str, ...],
 
 def resolve_client(client: Any = None) -> Client:
     """The execution client a harness should use: an explicit
-    :class:`~repro.service.client.Client`, a legacy ``SweepRunner``
-    (unwrapped to its client), or the process-wide default."""
+    :class:`~repro.service.client.Client` or the process-wide
+    default."""
     if client is None:
         return default_client()
     if isinstance(client, Client):
         return client
-    inner = getattr(client, "_client", None)  # SweepRunner facade
-    if isinstance(inner, Client):
-        return inner
-    raise TypeError(f"expected a Client (or SweepRunner), "
-                    f"got {type(client).__name__}")
+    raise TypeError(f"expected a Client, got {type(client).__name__}")
 
 
 def stream_cells(cells: Sequence[tuple[Any, RunSpec]],

@@ -1,128 +1,10 @@
-"""Compiled hot path behind ``REPRO_BACKEND=compiled`` (DESIGN.md).
+"""The per-cycle hot path (DESIGN.md: hotpath layer).
 
-The per-cycle inner loops — the µcore ISS tick and the OoO core step —
-live in :mod:`repro.hotpath.ucore_kernel` and
-:mod:`repro.hotpath.ooo_kernel` as tight, fully annotated functions
-over flat ``list[int]`` state.  Those modules are the *only*
-implementation of the two ticks: every backend runs them interpreted
-by default, and ``REPRO_BACKEND=compiled`` swaps in the C-compiled
-build of the same sources (``repro/hotpath/_compiled/``, produced
-opportunistically by ``python -m repro.hotpath.build`` with mypyc or
-Cython).  Because both variants are compiled from one source, they are
-bit-identical by construction — the four-way differential grid in
-``tests/test_vector_identity.py`` pins it.
-
-With no toolchain or build artifact, ``REPRO_BACKEND=compiled`` warns
-once and runs the interpreted kernels, so the flag is always safe to
-set.  ``REPRO_HOTPATH=interpreted`` forces the interpreted variant
-without a warning (the forced-interpreted grid cell and the
-no-toolchain CI path use it).
+The µcore ISS tick and the OoO core step live in
+:mod:`repro.hotpath.ucore_kernel` and :mod:`repro.hotpath.ooo_kernel`
+as tight functions over flat ``list[int]`` state, and
+:mod:`repro.hotpath.decode` turns µcore programs into the flat form
+the tick reads.  They are the only implementation of the two ticks:
+:class:`~repro.ucore.core.MicroCore` and :class:`~repro.ooo.core.MainCore`
+bind them once at construction.
 """
-
-from __future__ import annotations
-
-import importlib
-import os
-import warnings
-from types import ModuleType
-
-from repro.hotpath import ooo_kernel as _interp_ooo
-from repro.hotpath import ucore_kernel as _interp_ucore
-
-#: Environment variable forcing a hotpath variant: ``interpreted``
-#: pins the pure-Python kernels (no warning); anything else (or unset)
-#: prefers the compiled build when one exists.
-HOTPATH_ENV = "REPRO_HOTPATH"
-
-_compiled_ucore: ModuleType | None = None
-_compiled_ooo: ModuleType | None = None
-_probed = False
-_warned_missing = False
-
-
-def _is_extension(module: ModuleType) -> bool:
-    """True for a real C-extension build (rejects the staged source
-    copies ``repro.hotpath.build`` leaves next to the artifacts)."""
-    path = getattr(module, "__file__", "") or ""
-    return path.endswith((".so", ".pyd"))
-
-
-def _probe_compiled() -> None:
-    """Import the compiled kernels once per process, if present."""
-    global _compiled_ucore, _compiled_ooo, _probed
-    if _probed:
-        return
-    _probed = True
-    try:
-        ucore = importlib.import_module(
-            "repro.hotpath._compiled.ucore_kernel")
-        ooo = importlib.import_module(
-            "repro.hotpath._compiled.ooo_kernel")
-    except ImportError:
-        return
-    if _is_extension(ucore) and _is_extension(ooo):
-        _compiled_ucore = ucore
-        _compiled_ooo = ooo
-
-
-def _warn_missing_artifact() -> None:
-    """Warn exactly once per process that compiled was requested but
-    only the interpreted (bit-identical) kernels are available."""
-    global _warned_missing
-    if _warned_missing:
-        return
-    _warned_missing = True
-    warnings.warn(
-        "REPRO_BACKEND=compiled: no compiled hotpath artifact found "
-        "(build one with `python -m repro.hotpath.build`); running the "
-        "interpreted hotpath kernels, which are bit-identical",
-        RuntimeWarning, stacklevel=4)
-
-
-def _reset_for_tests() -> None:
-    """Forget the probe and warning state (unit tests only)."""
-    global _compiled_ucore, _compiled_ooo, _probed, _warned_missing
-    _compiled_ucore = None
-    _compiled_ooo = None
-    _probed = False
-    _warned_missing = False
-
-
-def force_interpreted() -> bool:
-    """True when ``REPRO_HOTPATH=interpreted`` pins the pure-Python
-    kernels."""
-    return (os.environ.get(HOTPATH_ENV, "").strip().lower()
-            == "interpreted")
-
-
-def compiled_available() -> bool:
-    """True when a C-compiled kernel build is importable."""
-    _probe_compiled()
-    return _compiled_ucore is not None
-
-
-def active_kernels() -> tuple[ModuleType, ModuleType, bool]:
-    """The kernel modules ``REPRO_BACKEND=compiled`` should install:
-    ``(ucore_kernel, ooo_kernel, compiled_live)``."""
-    if force_interpreted():
-        return _interp_ucore, _interp_ooo, False
-    _probe_compiled()
-    if _compiled_ucore is not None and _compiled_ooo is not None:
-        return _compiled_ucore, _compiled_ooo, True
-    _warn_missing_artifact()
-    return _interp_ucore, _interp_ooo, False
-
-
-def install_hotpath(system) -> bool:
-    """Swap ``system``'s cores onto the variant :func:`active_kernels`
-    selects; returns True when compiled code is live.
-
-    Safe to call repeatedly (sessions call it per ``run()``) and a
-    no-op for engines without a kernel slot (hardware accelerators)."""
-    ucore_mod, ooo_mod, compiled = active_kernels()
-    system.core.set_kernel(ooo_mod)
-    for engine in system.engines:
-        set_kernel = getattr(engine, "set_kernel", None)
-        if set_kernel is not None:
-            set_kernel(ucore_mod)
-    return compiled

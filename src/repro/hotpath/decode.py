@@ -11,12 +11,7 @@ Decoded programs are cached by content digest: a FireGuard system
 builds one :class:`MicroCore` per engine from the *same* assembled
 kernel program, and sweep harnesses build many systems from the same
 kernels, so repeated construction (and ``reset()`` + run session
-cycles across fresh builds) skips the re-decode entirely.  The cache
-helps every backend — the interpreted fallback included.
-
-This module stays interpreted (it runs once per distinct program, not
-per cycle); only the kernels in ``ucore_kernel``/``ooo_kernel`` are
-compiled.
+cycles across fresh builds) skips the re-decode entirely.
 """
 
 from __future__ import annotations

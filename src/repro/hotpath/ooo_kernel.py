@@ -1,11 +1,8 @@
-"""Compilable OoO-core cycle step (DESIGN.md: hotpath layer).
+"""The OoO-core cycle step (DESIGN.md: hotpath layer).
 
-This module is THE implementation of :meth:`MainCore.step` for every
-backend — ``repro.ooo.core`` calls :func:`core_step` with its ROB,
-LSQ occupancy and register-ready scoreboard flattened into preallocated
-arrays.  ``REPRO_BACKEND=compiled`` swaps in the C-compiled build of
-this same source (``repro.hotpath._compiled.ooo_kernel``), so the
-interpreted and compiled variants are bit-identical by construction.
+This module is THE implementation of :meth:`MainCore.step` —
+``repro.ooo.core`` calls :func:`core_step` with its ROB, LSQ occupancy
+and register-ready scoreboard flattened into preallocated arrays.
 
 Flattening map (vs the pre-hotpath object graph):
 
@@ -22,11 +19,10 @@ Flattening map (vs the pre-hotpath object graph):
 
 Escape calls — the branch predictor, memory hierarchy, PRF read-port
 arbiter, FU pool, the commit observer (FireGuard's event filter) and
-``core.result`` — stay interpreted objects reached through ``core``:
+``core.result`` — stay objects reached through ``core``:
 they are shared with the rest of the system and carry their own
-statistics.  Same compilation constraints as
-:mod:`repro.hotpath.ucore_kernel`: full annotations, flat ints,
-no allocation on the per-cycle path.
+statistics.  Same rules as :mod:`repro.hotpath.ucore_kernel`: flat
+ints, no allocation on the per-cycle path.
 """
 
 from typing import Any, Final

@@ -1,13 +1,9 @@
-"""Compilable µcore inner tick (DESIGN.md: hotpath layer).
+"""The µcore inner tick (DESIGN.md: hotpath layer).
 
-This module is THE implementation of :meth:`MicroCore.tick` for every
-backend — ``repro.ucore.core`` calls :func:`ucore_tick` with its state
-flattened into plain ``list[int]`` arrays.  ``REPRO_BACKEND=compiled``
-merely swaps in the C-compiled build of this same source
-(``repro.hotpath._compiled.ucore_kernel``, produced by
-``python -m repro.hotpath.build``), so the semantics are single-sourced
-and the interpreted and compiled variants are bit-identical by
-construction.
+This module is THE implementation of :meth:`MicroCore.tick` —
+``repro.ucore.core`` calls :func:`ucore_tick` with its state flattened
+into plain ``list[int]`` arrays, so the per-instruction path touches
+only local ints and list slots.
 
 Extraction rules (what may live here):
 
@@ -19,15 +15,13 @@ Extraction rules (what may live here):
   allocation on the per-tick path.
 * **Escape calls for shared components.** Caches, TLB, functional
   memory, the queue controller, the ISAX cost model and the alert
-  callback stay interpreted objects reached through ``mc`` (the owning
+  callback stay objects reached through ``mc`` (the owning
   :class:`MicroCore`) — they carry their own statistics and are shared
   across engines, so flattening them would fork semantics.  Escape
-  calls are boxed under mypyc; they are not on the hot path for the
-  common ALU/branch instructions.
-* **Fully annotated, no fancy types.** Both mypyc and Cython
-  (pure-Python mode) must compile this file unmodified: module-level
-  ``Final`` int constants, ``list[int]`` arguments, no closures, no
-  ``*args``, no decorators.
+  calls are not on the hot path for the common ALU/branch
+  instructions.
+* **Plain ints and lists.** Module-level ``Final`` int constants,
+  ``list[int]`` arguments, no closures, no ``*args``, no decorators.
 
 The op codes below are this module's private dense encoding of
 :class:`repro.ucore.isa.Op`; :mod:`repro.hotpath.decode` builds the

@@ -19,8 +19,7 @@ The per-cycle commit/dispatch/schedule walk lives in
 :mod:`repro.hotpath.ooo_kernel` (DESIGN.md: hotpath layer): this class
 owns the flattened run state — ROB rings, LSQ occupancy counters and
 the register-ready scoreboard as preallocated arrays — and delegates
-:meth:`step` to the active kernel variant (interpreted by default, the
-C-compiled build under ``REPRO_BACKEND=compiled``).  The
+:meth:`step` to the kernel's ``core_step``.  The
 :class:`~repro.ooo.rob.ReorderBuffer` and
 :class:`~repro.ooo.lsq.LoadStoreQueues` classes remain in
 :mod:`repro.ooo` as the unit-tested reference structures the rings
@@ -116,16 +115,7 @@ class MainCore:
         self._rob_done: list[int] = [0] * p.rob_entries
         self._reg_ready: list[int] = [0] * _REG_SPACE
         self.result = CoreResult(cycles=0, committed=0)
-        self._kernel = _ok
         self._step = _ok.core_step
-
-    def set_kernel(self, kernel) -> None:
-        """Select the hotpath kernel module driving :meth:`step` —
-        the interpreted :mod:`repro.hotpath.ooo_kernel` (default) or
-        its compiled build (``repro.hotpath.install_hotpath``).  Both
-        read the same flat state, so switching is always safe."""
-        self._kernel = kernel
-        self._step = kernel.core_step
 
     def reset(self) -> None:
         """Return the core to its just-constructed state: cold caches

@@ -16,12 +16,9 @@ Execution goes through :mod:`repro.service`: the async ``Client``
 memoises records in memory, reads through the persistent result store
 (``REPRO_RESULT_STORE``), and fans uncached work out over processes,
 each of which builds every distinct system once and resets its session
-between traces (:mod:`repro.runner.worker`).  The blocking
-``SweepRunner`` facade is kept for backward compatibility and is
-deprecated.
+between traces (:mod:`repro.runner.worker`).
 """
 
-from repro.runner.runner import SweepRunner, default_runner, default_workers
 from repro.runner.spec import (
     DEFAULT_SEED,
     DEFAULT_TRACE_LEN,
@@ -39,9 +36,6 @@ __all__ = [
     "DEFAULT_TRACE_LEN",
     "RunRecord",
     "RunSpec",
-    "SweepRunner",
-    "default_runner",
-    "default_workers",
     "execute_spec",
     "simulations_executed",
     "sweep",

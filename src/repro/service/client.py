@@ -1,12 +1,11 @@
 """The service-grade execution client.
 
 `Client` is the single entry point every harness, benchmark and
-example submits work through.  It inverts the old batch-shaped API
-(``SweepRunner.run`` blocked until a whole grid finished): ``submit``
-returns a future-like :class:`RunHandle` immediately, ``map`` streams
-records back in submission order as they complete, and
-``as_completed`` yields handles in completion order — a figure harness
-can render rows while the tail of its grid is still simulating.
+example submits work through.  ``submit`` returns a future-like
+:class:`RunHandle` immediately, ``map`` streams records back in
+submission order as they complete, and ``as_completed`` yields
+handles in completion order — a figure harness can render rows
+while the tail of its grid is still simulating.
 
 Results are remembered at three levels, checked in order:
 
@@ -288,22 +287,6 @@ class Client:
             shutil.rmtree(self._cancel_dir, ignore_errors=True)
             self._cancel_dir = None
 
-    def shrink(self, wait: bool = True) -> None:
-        """Release the execution backend (worker processes/thread,
-        fabric connection) but keep the client usable: caches, store
-        connection and stats survive, and the next dispatch recreates
-        the backend.  The deprecated ``SweepRunner`` facade calls this
-        after each batch to match the historical pool-per-run resource
-        profile."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-            fabric, self._fabric = self._fabric, None
-            self._pooled = False
-        if fabric is not None:
-            fabric.close()
-        if executor is not None:
-            executor.shutdown(wait=wait)
-
     def _resolved_workers(self) -> int:
         workers = self.workers if self.workers is not None \
             else _env_workers()
@@ -412,8 +395,8 @@ class Client:
             yield from by_future[future]
 
     def run(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
-        """Submit and gather a whole batch (the ``SweepRunner.run``
-        contract: records in submission order)."""
+        """Submit and gather a whole batch; records come back in
+        submission order."""
         return [handle.result()
                 for handle in self._submit_batch(list(specs))]
 

@@ -8,12 +8,13 @@ explicit :meth:`~repro.sim.session.SimulationSession.reset` that
 returns every component to its just-built state, so one system can
 execute many traces with results bit-identical to fresh builds.
 
-The cycle loop itself is event-driven (:mod:`repro.sched`): a
+The cycle loop is either event-driven (:mod:`repro.sched`: a
 cycle-wheel scheduler per clock domain replaces per-cycle polling with
-timestamped wakeups, bit-identical to the dense reference loop kept
-behind ``REPRO_DENSE_LOOP=1``.
+timestamped wakeups) or the dense reference loop; the session picks
+one per run from the built engine mix, and both are bit-identical
+(``tests/test_golden.py``).
 
-The parallel sweep runner (:mod:`repro.runner`) keeps one session per
+The spec executor (:mod:`repro.runner.worker`) keeps one session per
 distinct system configuration per worker process.
 """
 

@@ -22,52 +22,27 @@ The session adds three things the monolithic loop could not offer:
   timestamped wakeups: blocked engines sleep until the queue
   transition that can unblock them, the NoC until its earliest
   arrival, the CDC until its head synchronises, and quiescent
-  stretches are fast-forwarded in whole slow-cycle strides.  Results
-  are bit-identical to the dense loop (every :class:`SystemResult`
-  field, asserted by the A/B grid tests in ``tests/test_sched.py``);
-* **the dense loop**, kept behind ``REPRO_DENSE_LOOP=1`` (or
-  ``SimulationSession(system, dense=True)``) as the reference
-  implementation for those A/B comparisons.  Its conservative
-  per-cycle ``can_skip()`` idle-skip is unchanged from when it was the
-  only loop.
+  stretches and provable core-stall windows are fast-forwarded in
+  whole slow-cycle strides;
+* **the dense loop** — every component polled every cycle, with a
+  conservative per-cycle ``can_skip()`` idle-skip.  The adaptive
+  policy picks it for small all-µcore engine pools, where it measures
+  faster.
 
-Orthogonally to the loop choice, ``REPRO_BACKEND`` selects the
-execution backend: ``vector`` (default where numpy is available)
-precomputes the event-filter decisions and the accelerator pre-checks
-per trace chunk (:mod:`repro.core.vector`), and the event loop batches
-provable core-stall windows through the clock's stride fast-forward;
-``scalar`` is the record-at-a-time reference; ``compiled`` is vector
-plus the C-compiled hotpath kernels (:mod:`repro.hotpath`) for the
-µcore ISS tick and the OoO core step, degrading to the bit-identical
-interpreted kernels when no build artifact exists.  All produce
-bit-identical :class:`SystemResult`\\ s (the four-way differential
-grid in ``tests/test_vector_identity.py``).
-
-``REPRO_PROFILE=1`` additionally wraps the per-component step methods
-with wall-clock accounting; the accumulated per-component seconds
-appear in :meth:`SimulationSession.stats` under ``profile_*`` keys
-(``benchmarks/bench_sched.py`` prints the breakdown).
+Both loops produce bit-identical :class:`SystemResult`\\ s: every cell
+of the grid in ``tests/test_golden.py`` runs under each loop and must
+match its recorded golden digest.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 from repro.clock.domain import DualDomainClock
 from repro.errors import SimulationError
 from repro.sched import EventScheduler
 from repro.trace.record import Trace
-from repro.utils.npcompat import (
-    BACKEND_COMPILED,
-    BACKEND_VECTOR,
-    HAVE_NUMPY,
-    resolve_backend,
-)
 from repro.utils.stats import Instrumented
-
-#: Environment variable enabling the per-component wall-time profile.
-PROFILE_ENV = "REPRO_PROFILE"
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import FireGuardSystem, SystemResult
@@ -82,21 +57,14 @@ class SimulationSession(Instrumented):
     guarantee (``reset() + run(trace)`` must equal a fresh build's
     ``run(trace)`` bit for bit).
 
-    ``dense`` selects the reference dense loop over the event-driven
-    scheduler; None reads ``REPRO_DENSE_LOOP`` (``"1"`` means dense,
-    ``"0"`` means event).  With neither the argument nor the variable
-    set, the session is *adaptive*: each ``run()`` picks the loop that
-    measures faster for the built engine mix — the dense sweep for
-    small all-µcore pools (few busy engines make the wakeup
+    ``dense=True`` pins the dense loop and ``dense=False`` the
+    event-driven scheduler (the golden test runs every cell under
+    both).  The default, None, is *adaptive*: each ``run()`` picks the
+    loop that measures faster for the built engine mix — the dense
+    sweep for small all-µcore pools (few busy engines make the wakeup
     bookkeeping cost more than dense's direct poll), the event loop
-    everywhere else — so no configuration is slower than the dense
-    reference.  The loops are bit-identical, so the choice is
+    everywhere else.  The loops are bit-identical, so the choice is
     invisible in results.
-    ``backend`` selects the execution backend (``"vector"``,
-    ``"scalar"`` or ``"compiled"``); None reads ``REPRO_BACKEND``,
-    defaulting to vector
-    when numpy is importable and falling back to scalar (with a
-    one-time warning if vector was explicitly requested) otherwise.
     A system should be driven by one session (the canonical path is
     :meth:`FireGuardSystem.session`): the event scheduler wires wakeup
     hooks into the system's queues, and the last session wired wins.
@@ -113,30 +81,12 @@ class SimulationSession(Instrumented):
     _NEVER = 1 << 62
 
     def __init__(self, system: "FireGuardSystem",
-                 dense: bool | None = None,
-                 backend: str | None = None):
+                 dense: bool | None = None):
         self.system = system
-        env = os.environ.get("REPRO_DENSE_LOOP")
-        if dense is None:
-            # Neither the caller nor the environment chose a loop:
-            # adaptive mode picks per run() from the engine mix (the
-            # loops are bit-identical, so the choice is pure policy).
-            self._adaptive = env is None
-            dense = env == "1"
-        else:
-            self._adaptive = False
-        self.dense = dense
-        self.backend = resolve_backend(backend)
-        #: True once a run executed with the C-compiled hotpath
-        #: kernels live (``backend == "compiled"`` and an artifact was
-        #: importable); stays False on the interpreted fallback.
-        self.hotpath_compiled = False
-        #: Per-component wall-clock seconds, populated only under
-        #: ``REPRO_PROFILE=1`` (see :meth:`stats`).
-        self.profile: dict[str, float] = {}
-        self._profiling = os.environ.get(PROFILE_ENV, "") == "1"
-        if self._profiling:
-            self._install_profiling()
+        # Adaptive mode picks per run() from the engine mix (the loops
+        # are bit-identical, so the choice is pure policy).
+        self._adaptive = dense is None
+        self.dense = bool(dense)
         self.stat_mapper_blocked = 0
         self.stat_engine_ticks_skipped = 0
         self.stat_low_cycles_skipped = 0
@@ -166,7 +116,7 @@ class SimulationSession(Instrumented):
         # wakeups are cross-component; the fabric's next event falls
         # out of state the low tick already has in hand.
         self._fabric_next = self._NEVER
-        if not dense:
+        if not self.dense:
             self._wire_wakeups()
 
     @property
@@ -222,44 +172,6 @@ class SimulationSession(Instrumented):
         ctrl.drain_hook = waker
         ctrl.busy_hook = busy_hook
 
-    # -- profiling ---------------------------------------------------------
-    def _install_profiling(self) -> None:
-        """Wrap the per-component step methods with wall-clock
-        accounting (``REPRO_PROFILE=1`` only — the wrappers cost a
-        perf_counter pair per call, so they are opt-in).
-
-        Buckets: ``core`` (OoO step + batched stall skips), ``mapper``
-        (event-filter arbitration), ``fabric`` (multicast + NoC
-        steps), ``engines`` (all analysis-engine ticks).  Wrappers
-        live on the component instances, so they survive ``reset()``;
-        the accumulated seconds clear with the other session counters
-        in :meth:`reset_stats`.
-        """
-        from time import perf_counter
-        profile = self.profile
-
-        def wrap(obj, attr: str, bucket: str) -> None:
-            inner = getattr(obj, attr)
-
-            def timed(*args, **kwargs):
-                start = perf_counter()
-                try:
-                    return inner(*args, **kwargs)
-                finally:
-                    profile[bucket] = (profile.get(bucket, 0.0)
-                                       + perf_counter() - start)
-
-            setattr(obj, attr, timed)
-
-        system = self.system
-        wrap(system.core, "step", "core")
-        wrap(system.core, "skip_stalls", "core")
-        wrap(system.filter, "arbitrate", "mapper")
-        wrap(system.multicast, "step", "fabric")
-        wrap(system.noc, "step", "fabric")
-        for engine in system.engines:
-            wrap(engine, "tick", "engines")
-
     # -- reset -------------------------------------------------------------
     def reset(self) -> None:
         """Return the system to its just-built state.
@@ -299,22 +211,18 @@ class SimulationSession(Instrumented):
     # -- stats -------------------------------------------------------------
     def stats(self) -> dict[str, int]:
         """Session counters plus the per-domain scheduler counters
-        (``sched_low_*`` / ``sched_high_*``); under ``REPRO_PROFILE=1``
-        also the per-component wall-clock seconds (``profile_*``)."""
+        (``sched_low_*`` / ``sched_high_*``)."""
         merged = super().stats()
         for prefix, sched in (("sched_low_", self._low_sched),
                               ("sched_high_", self._high_sched)):
             merged.update({prefix + key: value
                            for key, value in sched.stats().items()})
-        for bucket, seconds in self.profile.items():
-            merged["profile_" + bucket] = seconds
         return merged
 
     def reset_stats(self) -> None:
         super().reset_stats()
         self._low_sched.reset_stats()
         self._high_sched.reset_stats()
-        self.profile.clear()
 
     # -- simulation --------------------------------------------------------
     def run(self, trace: Trace,
@@ -324,10 +232,9 @@ class SimulationSession(Instrumented):
 
         ``trace`` is any trace source implementing the record protocol
         (in-memory :class:`~repro.trace.record.Trace` or on-disk
-        :class:`~repro.trace.stream.StreamedTrace`): both the
-        event-driven and the dense ``REPRO_DENSE_LOOP`` path consume
-        it through the core's bounded-memory view, so streamed and
-        materialised runs are bit-identical.
+        :class:`~repro.trace.stream.StreamedTrace`): both loops
+        consume it through the core's bounded-memory view, so
+        streamed and materialised runs are bit-identical.
         """
         if self._dirty:
             raise SimulationError(
@@ -342,13 +249,6 @@ class SimulationSession(Instrumented):
                                       stall_backpressure=0)
         system.core.begin(trace, record_commit_times=True)
         system.core.attach_observer(system.filter)
-        if self.backend == BACKEND_VECTOR \
-                or (self.backend == BACKEND_COMPILED and HAVE_NUMPY):
-            from repro.core.vector import install_plans
-            install_plans(system, trace)
-        if self.backend == BACKEND_COMPILED:
-            from repro.hotpath import install_hotpath
-            self.hotpath_compiled = install_hotpath(system)
         clock = DualDomainClock(system.config.high_domain(),
                                 system.config.low_domain())
 
@@ -390,8 +290,7 @@ class SimulationSession(Instrumented):
     # -- the reference dense loop -----------------------------------------
     def _loop_dense(self, trace: Trace, clock: DualDomainClock,
                     max_cycles: int) -> int:
-        """Tick every component every cycle (the pre-scheduler loop,
-        kept for A/B bit-identity testing behind REPRO_DENSE_LOOP=1)."""
+        """Tick every component every cycle (the pre-scheduler loop)."""
         system = self.system
         core = system.core
         high_cycle = 0

@@ -111,18 +111,6 @@ class Trace:
         """A fresh pass over all records."""
         return iter(self.records)
 
-    def iter_columns(self, chunk_records: int = 4096):
-        """Columnar chunks (:mod:`repro.trace.columns`) over the
-        in-memory records — the same structure-of-arrays protocol a
-        :class:`~repro.trace.stream.StreamedTrace` serves straight off
-        the file.  Requires numpy; built fresh per call because records
-        may be mutated between runs (attack injection)."""
-        from repro.trace.columns import RecordColumns
-
-        for start in range(0, len(self.records), chunk_records):
-            yield RecordColumns.from_records(
-                self.records[start:start + chunk_records], start)
-
     def record_view(self) -> list[InstrRecord]:
         """Sequential indexed access for the dispatch loop."""
         return self.records

@@ -39,7 +39,6 @@ from typing import IO, Iterable, Iterator
 from repro.errors import TraceError
 from repro.isa.opcodes import InstrClass
 from repro.trace.record import HeapObject, InstrRecord, Trace
-from repro.utils.npcompat import HAVE_NUMPY
 
 MAGIC = b"FGTRACE1"
 # pc, word, opcode, funct3, iclass, dst, nsrcs, srcs[2], mem_addr,
@@ -74,10 +73,18 @@ def pack_record(rec: InstrRecord) -> bytes:
 
 
 def unpack_record(blob: bytes, seq: int) -> InstrRecord:
-    """Decode one fixed-width record (inverse of :func:`pack_record`)."""
-    (pc, word, opcode, funct3, class_idx, dst, nsrcs, s0, s1,
-     mem_addr, mem_size, taken, target, result,
-     attack_id) = RECORD_STRUCT.unpack(blob)
+    """Decode one fixed-width record (inverse of :func:`pack_record`);
+    an out-of-range instruction-class code raises :class:`TraceError`."""
+    return _record(seq, *RECORD_STRUCT.unpack(blob))
+
+
+def _record(seq, pc, word, opcode, funct3, class_idx, dst, nsrcs, s0, s1,
+            mem_addr, mem_size, taken, target, result,
+            attack_id) -> InstrRecord:
+    """An :class:`InstrRecord` from its unpacked FGTRACE1 fields."""
+    if class_idx >= len(_CLASS_BY_INDEX):
+        raise TraceError(
+            f"instruction class code {class_idx} out of range")
     return InstrRecord(
         seq=seq, pc=pc, word=word, opcode=opcode, funct3=funct3,
         iclass=_CLASS_BY_INDEX[class_idx],
@@ -288,30 +295,12 @@ class TraceReader:
         return self.meta.count
 
     def __iter__(self) -> Iterator[list[InstrRecord]]:
-        for blob, seq in self._iter_chunk_bytes():
-            yield self._decode_chunk(blob, seq)
-
-    def iter_columns(self, chunk_records: int | None = None):
-        """A fresh pass yielding
-        :class:`~repro.trace.columns.RecordColumns` per chunk — the
-        batch-decoded structure-of-arrays view the vectorized backend
-        consumes.  Requires numpy."""
-        from repro.trace.columns import RecordColumns
-
-        for blob, seq in self._iter_chunk_bytes(chunk_records):
-            yield RecordColumns.from_bytes(blob, seq)
-
-    def _iter_chunk_bytes(self, chunk_records: int | None = None,
-                          ) -> Iterator[tuple[bytes, int]]:
-        """Raw packed chunks with truncation diagnostics: yields
-        ``(bytes, start_seq)`` per chunk."""
         count = self.meta.count
-        per_chunk = chunk_records or self.chunk_records
         with open(self.path, "rb") as fh:
             fh.seek(self._data_offset)
             seq = 0
             while seq < count:
-                want = min(per_chunk, count - seq)
+                want = min(self.chunk_records, count - seq)
                 blob = fh.read(want * RECORD_BYTES)
                 if len(blob) < want * RECORD_BYTES:
                     bad = seq + len(blob) // RECORD_BYTES
@@ -321,39 +310,22 @@ class TraceReader:
                         f"{self.path}: truncated at record {bad} of "
                         f"{count} (file offset {offset}: expected "
                         f"{RECORD_BYTES} bytes, found {found})")
-                yield blob, seq
+                yield self._decode_chunk(blob, seq)
                 seq += want
 
     def _decode_chunk(self, blob: bytes, seq: int) -> list[InstrRecord]:
-        """Materialise one chunk: columnar bulk decode when numpy is
-        available, per-record ``struct.unpack`` otherwise.  Both paths
-        produce field-identical records and the same corruption
-        diagnostics (index + absolute file offset)."""
-        count = self.meta.count
-        if HAVE_NUMPY:
-            from repro.trace.columns import RecordColumns
-
-            columns = RecordColumns.from_bytes(blob, seq)
-            bad = columns.first_bad_class_index()
-            if bad >= 0:
-                offset = self._data_offset + (seq + bad) * RECORD_BYTES
-                code = int(columns.iclass_code[bad])
-                raise TraceError(
-                    f"{self.path}: corrupt record {seq + bad} of "
-                    f"{count} (file offset {offset}): instruction "
-                    f"class code {code} out of range")
-            return columns.to_records()
-        chunk = []
-        for i in range(len(blob) // RECORD_BYTES):
+        """Materialise one chunk; a corrupt record's error names its
+        index and absolute file offset."""
+        chunk: list[InstrRecord] = []
+        for fields in RECORD_STRUCT.iter_unpack(blob):
+            index = seq + len(chunk)
             try:
-                chunk.append(unpack_record(
-                    blob[i * RECORD_BYTES:(i + 1) * RECORD_BYTES],
-                    seq + i))
-            except (struct.error, IndexError) as exc:
-                offset = self._data_offset + (seq + i) * RECORD_BYTES
+                chunk.append(_record(index, *fields))
+            except TraceError as exc:
+                offset = self._data_offset + index * RECORD_BYTES
                 raise TraceError(
-                    f"{self.path}: corrupt record {seq + i} of "
-                    f"{count} (file offset {offset}): {exc}"
+                    f"{self.path}: corrupt record {index} of "
+                    f"{self.meta.count} (file offset {offset}): {exc}"
                 ) from exc
         return chunk
 
@@ -444,12 +416,6 @@ class StreamedTrace:
 
     def iter_records(self) -> Iterator[InstrRecord]:
         return self._reader.records()
-
-    def iter_columns(self, chunk_records: int | None = None):
-        """A fresh bounded-memory pass yielding
-        :class:`~repro.trace.columns.RecordColumns` per chunk (the
-        columnar face of the trace-source protocol)."""
-        return self._reader.iter_columns(chunk_records)
 
     def record_view(self) -> _SequentialRecords:
         return _SequentialRecords(self._reader)

@@ -22,8 +22,7 @@ The per-cycle interpreter itself lives in
 :mod:`repro.hotpath.ucore_kernel` (DESIGN.md: hotpath layer): this
 class owns the engine's flat state arrays, decodes the program once
 through the digest-keyed cache in :mod:`repro.hotpath.decode`, and
-delegates :meth:`tick` to the active kernel variant — interpreted by
-default, the C-compiled build under ``REPRO_BACKEND=compiled``.
+delegates :meth:`tick` to the kernel's ``ucore_tick``.
 """
 
 from __future__ import annotations
@@ -144,17 +143,7 @@ class MicroCore(Instrumented):
         st[_uk.PROG_LEN] = len(program)
         st[_uk.L2_LAT] = config.ucore_l2_latency
         self._st = st
-        self._kernel = _uk
         self._tick = _uk.ucore_tick
-
-    # -- kernel selection --------------------------------------------------
-    def set_kernel(self, kernel) -> None:
-        """Select the hotpath kernel module driving :meth:`tick` —
-        the interpreted :mod:`repro.hotpath.ucore_kernel` (default) or
-        its compiled build (``repro.hotpath.install_hotpath``).  Both
-        read the same flat state, so switching is always safe."""
-        self._kernel = kernel
-        self._tick = kernel.ucore_tick
 
     # -- state views (flat slots behind the classic attribute surface) ----
     @property

@@ -1,8 +1,8 @@
 """Small statistics helpers used by the experiment harnesses.
 
 The paper reports geometric-mean slowdowns (Figs 7, 9, 10, 11) and
-latency distributions (Fig 8); these helpers compute both without
-pulling in numpy for the core library.
+latency distributions (Fig 8); these helpers compute both with the
+standard library alone.
 
 This module also defines :class:`Instrumented`, the uniform counter
 protocol every simulated component implements (DESIGN.md): counters

@@ -1,107 +1,25 @@
-"""The hotpath layer: kernel selection, fallback, decode cache,
-profiling.
+"""The hotpath layer's decode cache and flat engine state.
 
-The bit-identity of the kernels themselves is pinned by the five-cell
-backend grid in ``tests/test_vector_identity.py``; this file covers
-the machinery around them:
-
-* ``REPRO_BACKEND=compiled`` with no build artifact warns exactly once
-  per process and runs the interpreted kernels bit-identically (the
-  "flag is always safe" guarantee);
-* ``REPRO_HOTPATH=interpreted`` forces the interpreted variant with no
-  warning;
-* ``install_hotpath`` swaps every core's kernel slot;
-* the digest-keyed decode cache dedupes per-engine program decodes;
-* ``REPRO_PROFILE=1`` surfaces per-component wall time in session
-  stats;
-* ``python -m repro.hotpath.build`` degrades gracefully with no
-  toolchain.
+The bit-identity of the kernels themselves is pinned by the golden
+digests in ``tests/test_golden.py``; this file covers the digest-keyed
+decode cache that dedupes per-engine program decodes, and the flat
+µcore statistics behind the classic ``stats()`` surface.
 """
 
-import warnings
-
-import pytest
-
-import repro.hotpath as hotpath
-import repro.hotpath.build as hotpath_build
-from repro.hotpath import HOTPATH_ENV, install_hotpath
+from repro.core.system import FireGuardSystem
 from repro.hotpath.decode import (
     clear_decode_cache,
     decode_cache_stats,
     decode_ucore_program,
     program_digest,
 )
-from repro.core.system import FireGuardSystem
 from repro.kernels import make_kernel
-from repro.sim import SimulationSession
-from repro.trace.generator import generate_trace
-from repro.trace.profiles import PARSEC_PROFILES
 from repro.ucore.core import MicroCore
 
 
 def build_system(engines: int = 2) -> FireGuardSystem:
     return FireGuardSystem([make_kernel("asan")],
                            engines_per_kernel={"asan": engines})
-
-
-@pytest.fixture
-def no_artifact(monkeypatch):
-    """Hotpath probe state with no compiled artifact discoverable —
-    deterministic everywhere, including CI hosts that really built
-    one.  Probe/warning state is restored to fresh afterwards."""
-    hotpath._reset_for_tests()
-    monkeypatch.setattr(hotpath, "_probe_compiled", lambda: None)
-    monkeypatch.delenv(HOTPATH_ENV, raising=False)
-    yield
-    hotpath._reset_for_tests()
-
-
-class TestKernelSelection:
-    def test_missing_artifact_warns_exactly_once(self, no_artifact):
-        with pytest.warns(RuntimeWarning,
-                          match="no compiled hotpath artifact"):
-            ucore_mod, ooo_mod, compiled = hotpath.active_kernels()
-        assert not compiled
-        assert ucore_mod is hotpath._interp_ucore
-        assert ooo_mod is hotpath._interp_ooo
-        # Second request: same answer, no second warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert hotpath.active_kernels() == (
-                ucore_mod, ooo_mod, False)
-
-    def test_forced_interpreted_never_warns(self, no_artifact,
-                                            monkeypatch):
-        monkeypatch.setenv(HOTPATH_ENV, "interpreted")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ucore_mod, ooo_mod, compiled = hotpath.active_kernels()
-        assert (ucore_mod, ooo_mod, compiled) == (
-            hotpath._interp_ucore, hotpath._interp_ooo, False)
-
-    def test_install_hotpath_swaps_every_core(self, no_artifact):
-        system = build_system(engines=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            compiled = install_hotpath(system)
-        assert not compiled
-        assert system.core._kernel is hotpath._interp_ooo
-        for engine in system.engines:
-            assert engine._kernel is hotpath._interp_ucore
-
-    def test_compiled_without_artifact_is_bit_identical(
-            self, no_artifact):
-        trace = generate_trace(PARSEC_PROFILES["swaptions"], seed=13,
-                               length=1500)
-        reference = SimulationSession(build_system(),
-                                      backend="scalar").run(trace)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            session = SimulationSession(build_system(),
-                                        backend="compiled")
-            result = session.run(trace)
-        assert not session.hotpath_compiled
-        assert result == reference
 
 
 class TestDecodeCache:
@@ -133,49 +51,3 @@ class TestDecodeCache:
         assert engine.stats()["instructions"] == 7
         engine.reset_stats()
         assert engine.stats()["instructions"] == 0
-
-
-class TestProfiling:
-    def test_profile_buckets_in_stats(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        trace = generate_trace(PARSEC_PROFILES["swaptions"], seed=13,
-                               length=1500)
-        session = SimulationSession(build_system())
-        session.run(trace)
-        stats = session.stats()
-        for bucket in ("profile_core", "profile_engines",
-                       "profile_fabric", "profile_mapper"):
-            assert stats[bucket] >= 0.0
-        assert stats["profile_core"] > 0.0
-        session.reset()
-        assert not any(key.startswith("profile_")
-                       for key in session.stats())
-
-    def test_profile_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        session = SimulationSession(build_system())
-        assert not any(key.startswith("profile_")
-                       for key in session.stats())
-
-
-class TestBuildCli:
-    @pytest.fixture
-    def no_toolchain(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(hotpath_build, "COMPILED_DIR",
-                            tmp_path / "_compiled")
-        monkeypatch.setattr(hotpath_build, "_have", lambda name: False)
-        return tmp_path / "_compiled"
-
-    def test_no_toolchain_is_graceful(self, no_toolchain, capsys):
-        assert hotpath_build.build(require=False) == 0
-        assert "no toolchain" in capsys.readouterr().out
-
-    def test_require_fails_without_toolchain(self, no_toolchain):
-        assert hotpath_build.build(require=True) == 1
-        assert hotpath_build.main(["--require"]) == 1
-
-    def test_stage_sources_copies_kernels(self, no_toolchain):
-        hotpath_build.build(require=False)
-        for name in hotpath_build.KERNELS:
-            assert (no_toolchain / f"{name}.py").exists()
-        assert not hotpath_build.artifacts_present()

@@ -1,4 +1,4 @@
-"""The sweep runner: specs, grids, caching, parallel determinism."""
+"""Run specs, grids, client caching, parallel determinism."""
 
 import pytest
 
@@ -9,11 +9,11 @@ from repro.kernels import make_kernel
 from repro.runner import (
     AttackPlan,
     RunSpec,
-    SweepRunner,
     execute_spec,
     sweep,
 )
 from repro.runner import worker as runner_worker
+from repro.service import Client
 from repro.trace.attacks import AttackKind
 from repro.trace.generator import generate_trace
 from repro.trace.profiles import PARSEC_PROFILES
@@ -128,27 +128,28 @@ class TestExecution:
 
 class TestRunnerCache:
     def test_records_memoised(self):
-        runner = SweepRunner(workers=1)
-        spec = spec_for()
-        first = runner.run_one(spec)
-        assert runner.run_one(spec) is first
+        with Client(workers=1) as client:
+            spec = spec_for()
+            first = client.run_one(spec)
+            assert client.run_one(spec) is first
 
     def test_duplicates_in_batch_run_once(self):
-        runner = SweepRunner(workers=1, cache=False)
-        records = runner.run([spec_for(), spec_for()])
+        with Client(workers=1, cache=False) as client:
+            records = client.run([spec_for(), spec_for()])
         assert records[0].result == records[1].result
 
     def test_order_preserved(self):
         specs = sweep(("swaptions", "dedup"), kernels=("pmc",),
                       length=LEN)
-        records = SweepRunner(workers=1).run(specs)
+        with Client(workers=1) as client:
+            records = client.run(specs)
         assert [r.spec.benchmark for r in records] \
             == [s.benchmark for s in specs]
 
 
 class TestDeterminism:
-    """Acceptance: for a fixed seed, a reset session and the parallel
-    runner produce results identical to fresh serial runs — over two
+    """Acceptance: for a fixed seed, a reset session and a parallel
+    client produce results identical to fresh serial runs — over two
     benchmarks and two kernel sets."""
 
     BENCHMARKS = ("swaptions", "dedup")
@@ -186,7 +187,8 @@ class TestDeterminism:
 
     def test_parallel_runner_matches_fresh_serial(self):
         specs = self._specs()
-        records = SweepRunner(workers=2, cache=False).run(specs)
+        with Client(workers=2, cache=False) as client:
+            records = client.run(specs)
         assert len(records) == len(specs)
         for spec, record in zip(specs, records):
             fresh = self._fresh_serial(spec)
@@ -195,8 +197,10 @@ class TestDeterminism:
 
     def test_parallel_matches_serial_runner(self):
         specs = self._specs()
-        serial = SweepRunner(workers=1, cache=False).run(specs)
-        parallel = SweepRunner(workers=2, cache=False).run(specs)
+        with Client(workers=1, cache=False) as client:
+            serial = client.run(specs)
+        with Client(workers=2, cache=False) as client:
+            parallel = client.run(specs)
         for a, b in zip(serial, parallel):
             assert a.result == b.result
             assert a.baseline_cycles == b.baseline_cycles

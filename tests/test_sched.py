@@ -1,7 +1,7 @@
-"""The event-driven scheduler layer (repro.sched) and its contract
-with the dense loop: the cycle wheel never fires early, late, or
-twice, and the event-driven session is bit-identical to the dense
-reference loop across a benchmark × kernel-set × engine-count grid."""
+"""The event-driven scheduler layer (repro.sched): the cycle wheel
+never fires early, late, or twice, the event loop really skips work,
+and timeouts name what is still undrained.  Bit-identity with the
+dense loop is pinned cell by cell in ``tests/test_golden.py``."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from repro.errors import SimulationError
 from repro.kernels import make_kernel
 from repro.sched import CycleWheel, EventScheduler
 from repro.sim import SimulationSession
-from repro.trace.attacks import AttackKind, inject_attacks
 from repro.trace.generator import generate_trace
 from repro.trace.profiles import PARSEC_PROFILES
 
@@ -163,7 +162,7 @@ class TestEventScheduler:
 
 
 # ---------------------------------------------------------------------------
-# A/B bit-identity: event-driven vs dense reference loop
+# Event loop behaviour (bit-identity: tests/test_golden.py)
 # ---------------------------------------------------------------------------
 
 def _build(kernel_names, **kwargs):
@@ -171,91 +170,18 @@ def _build(kernel_names, **kwargs):
                            **kwargs)
 
 
-def _trace(bench, seed=17, length=3000, attack=None, count=6):
-    trace = generate_trace(PARSEC_PROFILES[bench], seed=seed,
-                           length=length)
-    if attack is not None:
-        inject_attacks(trace, attack, count)
-    return trace
-
-
-AB_GRID = [
-    # (benchmark, kernel set, engines_per_kernel, attack, accelerated)
-    ("swaptions", ("pmc",), None, None, None),            # spin-poll kernel
-    ("dedup", ("asan",), None, None, None),               # blocking kernel
-    ("x264", ("asan",), {"asan": 12}, None, None),        # many engines
-    ("bodytrack", ("shadow_stack",), None,
-     AttackKind.RET_HIJACK, None),                        # NoC + detections
-    ("swaptions", ("shadow_stack", "uaf"), None, None, None),  # multi-kernel
-    ("swaptions", ("shadow_stack",), None, None,
-     frozenset({"shadow_stack"})),                        # accelerator
-    ("ferret", ("uaf",), {"uaf": 2}, None, None),         # few engines
-]
+def _trace(bench, seed=17, length=3000):
+    return generate_trace(PARSEC_PROFILES[bench], seed=seed,
+                          length=length)
 
 
 class TestEventDenseIdentity:
-    @pytest.mark.parametrize(
-        "bench,kernels,epk,attack,accelerated", AB_GRID,
-        ids=[f"{b}-{'+'.join(k)}" for b, k, *_ in AB_GRID])
-    def test_bit_identical_results(self, bench, kernels, epk, attack,
-                                   accelerated):
-        kwargs = {}
-        if epk:
-            kwargs["engines_per_kernel"] = epk
-        if accelerated:
-            kwargs["accelerated"] = accelerated
-        dense = SimulationSession(_build(kernels, **kwargs),
-                                  dense=True).run(_trace(bench,
-                                                         attack=attack))
-        event = SimulationSession(_build(kernels, **kwargs),
-                                  dense=False).run(_trace(bench,
-                                                          attack=attack))
-        # Every SystemResult field, including alerts and per-attack
-        # detection latencies, must match bit for bit.
-        assert dense == event
-
-    def test_identity_with_non_integer_clock_ratio(self):
-        """Exercises advance_to's non-periodic accumulator path."""
-        from dataclasses import replace
-
-        from repro.core.config import FireGuardConfig
-
-        config = replace(FireGuardConfig(), low_freq_ghz=1.3)
-        trace = _trace("dedup")
-        dense = SimulationSession(
-            _build(("asan",), config=config), dense=True).run(trace)
-        event = SimulationSession(
-            _build(("asan",), config=config), dense=False).run(trace)
-        assert dense == event
-
-    def test_identity_under_heavy_backpressure(self):
-        """Tiny CDC and message queues keep the fabric full — the
-        busy-controller set and full-queue statistics must match."""
-        from dataclasses import replace
-
-        from repro.core.config import FireGuardConfig
-
-        config = replace(FireGuardConfig(), cdc_depth=2, msgq_depth=2)
-        trace = _trace("dedup")
-        dense = SimulationSession(
-            _build(("asan",), config=config), dense=True).run(trace)
-        event = SimulationSession(
-            _build(("asan",), config=config), dense=False).run(trace)
-        assert dense == event
-        assert event.msgq_full_cycles > 0  # back-pressure really occurred
-
     def test_identity_survives_session_reset(self):
         trace = _trace("dedup")
         session = SimulationSession(_build(("asan",)), dense=False)
         first = session.run(trace)
         session.reset()
         assert session.run(trace) == first
-
-    def test_env_var_selects_dense_loop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_LOOP", "1")
-        assert SimulationSession(_build(("pmc",))).dense
-        monkeypatch.delenv("REPRO_DENSE_LOOP")
-        assert not SimulationSession(_build(("pmc",))).dense
 
     def test_event_loop_actually_skips(self):
         session = SimulationSession(

@@ -113,7 +113,7 @@ class TestIdleSkip:
     def test_dense_skip_does_not_change_results(self, monkeypatch):
         """The dense reference loop's conservative can_skip() is
         result-neutral (the event-driven loop's equivalent guarantee is
-        the A/B grid in tests/test_sched.py)."""
+        the golden grid in tests/test_golden.py)."""
         trace = trace_for("x264", length=5000)
         with_skip = SimulationSession(build(("asan",)),
                                       dense=True).run(trace)

@@ -5,15 +5,16 @@ scenario to disk and simulating it through the bounded-memory reader
 must produce exactly the results of the in-memory path — detection
 latencies, every SystemResult field, and the final component state.
 The grid covers {2 scenarios} x {2 kernels} x {streamed, in-memory},
-plus a dense-loop cell (``REPRO_DENSE_LOOP`` path) and the
-cross-seed / cross-worker digest determinism checks.
+plus a dense-loop cell and the cross-seed / cross-worker digest
+determinism checks.
 """
 
 import pytest
 
 from repro.core.system import FireGuardSystem
 from repro.kernels import make_kernel
-from repro.runner import RunSpec, SweepRunner
+from repro.runner import RunSpec
+from repro.service import Client
 from repro.sim import SimulationSession
 from repro.trace.attacks import AttackKind, AttackPlan
 from repro.trace.scenario import (
@@ -97,9 +98,8 @@ def test_streamed_matches_in_memory(scenario, kernel, tmp_path):
 
 
 def test_dense_loop_accepts_streamed_trace(tmp_path):
-    """The REPRO_DENSE_LOOP reference path consumes the same streamed
-    source, bit-identically to the event-driven loop on the in-memory
-    trace."""
+    """The dense loop consumes the same streamed source,
+    bit-identically to the event-driven loop on the in-memory trace."""
     scenario = GRID_SCENARIOS[0]
     in_memory, _ = compose_trace(scenario, SEED)
     streamed, _ = compose_stream(scenario, SEED,
@@ -121,9 +121,9 @@ def test_runner_streamed_record_matches_in_memory():
                    kernels=("shadow_stack",), engines_per_kernel=2,
                    scenario=GRID_SCENARIOS[0], seed=SEED,
                    length=GRID_SCENARIOS[0].total_length())
-    runner = SweepRunner(workers=1)
-    rec_mem = runner.run_one(spec)
-    rec_str = runner.run_one(spec.with_(stream=True))
+    with Client(workers=1) as client:
+        rec_mem = client.run_one(spec)
+        rec_str = client.run_one(spec.with_(stream=True))
     assert rec_mem.result.cycles == rec_str.result.cycles
     assert rec_mem.result.detections == rec_str.result.detections
     assert rec_mem.baseline_cycles == rec_str.baseline_cycles
@@ -150,8 +150,10 @@ class TestDigestDeterminism:
                          length=s.total_length(), stream=True,
                          need_baseline=False)
                  for s in GRID_SCENARIOS]
-        serial = SweepRunner(workers=1, cache=False).run(specs)
-        parallel = SweepRunner(workers=2, cache=False).run(specs)
+        with Client(workers=1, cache=False) as client:
+            serial = client.run(specs)
+        with Client(workers=2, cache=False) as client:
+            parallel = client.run(specs)
         assert [r.trace_digest for r in serial] \
             == [r.trace_digest for r in parallel]
         assert all(len(r.trace_digest) == 64 for r in serial)

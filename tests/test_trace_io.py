@@ -3,10 +3,23 @@
 import pytest
 
 from repro.errors import TraceError
+from repro.isa.opcodes import InstrClass
 from repro.trace.attacks import AttackKind, inject_attacks
 from repro.trace.generator import generate_trace
 from repro.trace.io import load_trace, save_trace
 from repro.trace.profiles import PARSEC_PROFILES
+from repro.trace.record import InstrRecord
+from repro.trace.stream import NO_ADDR
+
+#: Every FGTRACE1 sentinel encoding next to its edge value: no memory
+#: access vs the largest real address, no attack vs attack 0, no
+#: destination vs x0, and each source-operand count.
+SENTINEL_FIELDS = (
+    {"mem_addr": None}, {"mem_addr": NO_ADDR - 1},
+    {"attack_id": None}, {"attack_id": 0},
+    {"dst": None}, {"dst": 0},
+    {"srcs": ()}, {"srcs": (7,)}, {"srcs": (7, 9)},
+)
 
 
 @pytest.fixture
@@ -16,17 +29,28 @@ def trace():
 
 class TestRoundTrip:
     def test_records_identical(self, trace, tmp_path):
+        # The generated records cover the sentinels only statistically;
+        # pin each encoding with an explicit record.
+        start = len(trace.records)
+        trace.records.extend(
+            InstrRecord(seq=start + i, pc=0x1000, word=0x13, opcode=0x13,
+                        funct3=0, iclass=InstrClass.INT_ALU, **fields)
+            for i, fields in enumerate(SENTINEL_FIELDS))
         path = tmp_path / "t.fgt"
         save_trace(trace, path)
         loaded = load_trace(path)
         assert len(loaded.records) == len(trace.records)
         for a, b in zip(trace.records, loaded.records):
             assert a.seq == b.seq and a.pc == b.pc and a.word == b.word
+            assert a.opcode == b.opcode and a.funct3 == b.funct3
             assert a.iclass is b.iclass
             assert a.dst == b.dst and a.srcs == b.srcs
             assert a.mem_addr == b.mem_addr and a.mem_size == b.mem_size
             assert a.taken == b.taken and a.target == b.target
-            assert a.result == b.result
+            assert a.result == b.result and a.attack_id == b.attack_id
+        for fields, record in zip(SENTINEL_FIELDS, loaded.records[start:]):
+            for name, value in fields.items():
+                assert getattr(record, name) == value
 
     def test_metadata_preserved(self, trace, tmp_path):
         path = tmp_path / "t.fgt"
@@ -135,6 +159,7 @@ class TestLoadErrorReporting:
         assert "record 42" in message
         assert f"file offset {data_offset + 42 * RECORD_BYTES}" \
             in message
+        assert "instruction class code 255 out of range" in message
 
     def test_truncated_header_reported(self, trace, tmp_path):
         path = tmp_path / "t.fgt"
