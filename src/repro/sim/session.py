@@ -83,10 +83,9 @@ class SimulationSession(Instrumented):
     def __init__(self, system: "FireGuardSystem",
                  dense: bool | None = None):
         self.system = system
-        # Adaptive mode picks per run() from the engine mix (the loops
-        # are bit-identical, so the choice is pure policy).
-        self._adaptive = dense is None
-        self.dense = bool(dense)
+        #: True / False pins the dense / event loop; None is adaptive
+        #: (the loops are bit-identical, so the choice is pure policy).
+        self.dense = dense
         self.stat_mapper_blocked = 0
         self.stat_engine_ticks_skipped = 0
         self.stat_low_cycles_skipped = 0
@@ -116,7 +115,7 @@ class SimulationSession(Instrumented):
         # wakeups are cross-component; the fabric's next event falls
         # out of state the low tick already has in hand.
         self._fabric_next = self._NEVER
-        if not self.dense:
+        if not dense:
             self._wire_wakeups()
 
     @property
@@ -252,7 +251,8 @@ class SimulationSession(Instrumented):
         clock = DualDomainClock(system.config.high_domain(),
                                 system.config.low_domain())
 
-        if self.dense or (self._adaptive and self._prefer_dense()):
+        dense = self._prefer_dense() if self.dense is None else self.dense
+        if dense:
             high_cycle = self._loop_dense(trace, clock, max_cycles)
         else:
             try:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -317,4 +316,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    record()
