@@ -9,7 +9,9 @@ from repro.trace.generator import generate_trace
 from repro.trace.io import load_trace, save_trace
 from repro.trace.profiles import PARSEC_PROFILES
 from repro.trace.record import InstrRecord
-from repro.trace.stream import NO_ADDR
+from repro.trace.stream import (
+    NO_ADDR, RECORD_BYTES, RECORD_STRUCT, TraceReader, pack_record,
+    unpack_record)
 
 #: Every FGTRACE1 sentinel encoding next to its edge value: no memory
 #: access vs the largest real address, no attack vs attack 0, no
@@ -99,6 +101,44 @@ class TestRoundTrip:
             load_trace(path)
 
 
+class TestSentinels:
+    """Each sentinel's on-disk field value, so a changed encoding fails
+    here even when it still round-trips, next to the edge value the
+    sentinel must not swallow."""
+
+    def encode(self, **fields):
+        record = InstrRecord(seq=0, pc=0x1000, word=0x13, opcode=0x13,
+                             funct3=0, iclass=InstrClass.INT_ALU,
+                             **fields)
+        blob = pack_record(record)
+        # pc, word, opcode, funct3, iclass, dst, nsrcs, src0, src1,
+        # mem_addr, mem_size, taken, target, result, attack_id
+        return RECORD_STRUCT.unpack(blob), unpack_record(blob, 0)
+
+    def test_no_addr_sentinel(self):
+        raw, record = self.encode(mem_addr=None)
+        assert raw[9] == NO_ADDR and record.mem_addr is None
+        raw, record = self.encode(mem_addr=NO_ADDR - 1)
+        assert record.mem_addr == NO_ADDR - 1
+
+    def test_attack_id_sentinel(self):
+        raw, record = self.encode(attack_id=None)
+        assert raw[14] == -1 and record.attack_id is None
+        raw, record = self.encode(attack_id=0)
+        assert record.attack_id == 0
+
+    def test_dst_sentinel(self):
+        raw, record = self.encode(dst=None)
+        assert raw[5] == -1 and record.dst is None
+        raw, record = self.encode(dst=0)
+        assert record.dst == 0
+
+    def test_srcs_truncation(self):
+        for srcs in ((), (7,), (7, 9)):
+            raw, record = self.encode(srcs=srcs)
+            assert raw[6] == len(srcs) and record.srcs == srcs
+
+
 class TestLoadErrorReporting:
     """Load errors name the failing record index and file offset (the
     regression for bare-struct-message TraceErrors)."""
@@ -160,6 +200,22 @@ class TestLoadErrorReporting:
         assert f"file offset {data_offset + 42 * RECORD_BYTES}" \
             in message
         assert "instruction class code 255 out of range" in message
+
+    def test_bad_class_code_names_row(self, trace, tmp_path):
+        # The first invalid code, in a later chunk of a streamed read:
+        # the error names the record's index in the whole trace.
+        path = tmp_path / "t.fgt"
+        save_trace(trace, path)
+        data_offset = self._data_offset(path)
+        blob = bytearray(path.read_bytes())
+        blob[data_offset + 102 * RECORD_BYTES + 14] = len(InstrClass)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceError) as err:
+            list(TraceReader(path, chunk_records=50))
+        message = str(err.value)
+        assert "corrupt record 102 of" in message
+        assert f"instruction class code {len(InstrClass)} out of range" \
+            in message
 
     def test_truncated_header_reported(self, trace, tmp_path):
         path = tmp_path / "t.fgt"
