@@ -41,16 +41,11 @@ Each distinct configuration is simulated at most once per store —
 rerunning a whole figure grid against a warm store executes zero
 simulations and returns bit-identical records.
 
-``REPRO_FABRIC=host:port`` swaps the local backend for a distributed
-master/worker fleet (:mod:`repro.fabric`) — every harness fans out
-over the network unchanged, with the same records and the same warm
-store (``python -m repro.fabric master`` / ``worker HOST:PORT``).
-
 See DESIGN.md for the architecture map and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 from repro.core.config import FireGuardConfig
 from repro.core.system import FireGuardSystem, SystemResult, run_baseline

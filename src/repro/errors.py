@@ -53,8 +53,3 @@ class StoreError(ReproError):
 class RunCancelled(ReproError):
     """A submitted run was cancelled before it produced a record."""
 
-
-class FabricError(ReproError):
-    """A distributed-fabric operation failed: unreachable master,
-    broken connection, protocol violation, or a spec that exhausted
-    its retries on the fleet (see :mod:`repro.fabric`)."""

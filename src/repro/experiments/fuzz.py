@@ -4,12 +4,12 @@
 (:mod:`repro.trace.fuzz`), runs every campaign against each guardian
 kernel through the normal :class:`~repro.service.client.Client` /
 :class:`~repro.runner.spec.RunSpec` path (streamed FGTRACE1
-composition, result-store read-through, fabric dispatch — everything
-the production path does), joins detections against the fuzzer's
-exact ground truth into a :class:`~repro.analysis.coverage.
-CoverageMatrix`, writes the ``COVERAGE_fuzz.json`` artifact, and
-exits non-zero if any attack-kind × matching-kernel cell is
-undetected or any clean record alarmed.
+composition, result-store read-through — everything the production
+path does), joins detections against the fuzzer's exact ground truth
+into a :class:`~repro.analysis.coverage.CoverageMatrix`, writes the
+``COVERAGE_fuzz.json`` artifact, and exits non-zero if any
+attack-kind × matching-kernel cell is undetected or any clean record
+alarmed.
 
 Knobs (see EXPERIMENTS.md): ``REPRO_FUZZ_SEED``,
 ``REPRO_FUZZ_CAMPAIGNS``, ``REPRO_FUZZ_FAMILIES`` (comma-separated

@@ -34,11 +34,6 @@ one *dispatch generation* of a key: handles that coalesced onto a
 doomed run all observe the cancellation, while a later resubmission of
 the same spec gets a fresh generation that the old cancel cannot touch
 (and vice versa — the resubmission cannot revive the doomed run).
-
-A third backend reaches beyond this host: ``REPRO_FABRIC=host:port``
-(or ``Client(fabric=...)``) dispatches uncached specs to a
-master/worker fleet (:mod:`repro.fabric`) instead of a local pool —
-same records, same cancellation semantics, network scale.
 """
 
 from __future__ import annotations
@@ -62,11 +57,6 @@ __all__ = ["Client", "ClientStats", "RunHandle", "default_client"]
 
 #: Environment variable naming a shared cancellation directory.
 ENV_CANCEL_DIR = "REPRO_CANCEL_DIR"
-
-#: ``host:port`` of a fabric master (mirrors
-#: :data:`repro.fabric.remote.ENV_FABRIC`; kept as a literal here so
-#: the service layer never imports the fabric until it is used).
-ENV_FABRIC = "REPRO_FABRIC"
 
 
 class _CancelToken:
@@ -216,17 +206,12 @@ class Client:
     ``store`` — None opens ``REPRO_RESULT_STORE`` if set, ``False``
     disables persistence, a path or :class:`ResultStore` uses that
     store.  ``cache`` — keep completed records in memory and answer
-    repeat submissions without touching the store.  ``fabric`` — None
-    reads ``REPRO_FABRIC`` (``host:port`` of a fleet master), ``False``
-    forces local execution even when the variable is set, a string is
-    the master's address; when active, uncached specs are dispatched
-    to the fleet instead of a local thread/pool backend.
+    repeat submissions without touching the store.
     """
 
     def __init__(self, workers: int | None = None,
                  store: "ResultStore | str | Path | bool | None" = None,
-                 cache: bool = True,
-                 fabric: "str | bool | None" = None):
+                 cache: bool = True):
         self.workers = workers
         if store is None:
             self.store = ResultStore.from_env()
@@ -236,12 +221,6 @@ class Client:
             self.store = ResultStore(store)
         else:
             self.store = store
-        if fabric is None:
-            self.fabric_address = os.environ.get(ENV_FABRIC) or None
-        elif fabric is False:
-            self.fabric_address = None
-        else:
-            self.fabric_address = fabric
         self.stats = ClientStats()
         self._cache: dict[str, RunRecord] | None = {} if cache else None
         self._inflight: dict[str, futures.Future] = {}
@@ -249,7 +228,6 @@ class Client:
         self._generations: dict[str, int] = {}
         self._lock = threading.RLock()
         self._executor: futures.Executor | None = None
-        self._fabric = None  # lazily created FabricExecutor
         self._pooled = False
         self._cancel_dir: Path | None = None
         self._own_cancel_dir = False
@@ -267,7 +245,6 @@ class Client:
         ``wait`` is False."""
         with self._lock:
             executor, self._executor = self._executor, None
-            fabric, self._fabric = self._fabric, None
             self._closed = True
             inflight = list(self._inflight.values())
             if not wait:
@@ -276,8 +253,6 @@ class Client:
                 # waiting on a torn-down backend.
                 for token in self._tokens.values():
                     token.requested = True
-        if fabric is not None:
-            fabric.close()
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=not wait)
         if not wait:
@@ -318,24 +293,6 @@ class Client:
                     self._own_cancel_dir = True
         return self._executor
 
-    def _ensure_fabric(self):
-        """The lazily-connected fleet backend (import deferred so the
-        service layer stays import-light without a fabric)."""
-        if self._closed:
-            raise ReproError("client is closed")
-        if self._fabric is None:
-            from repro.fabric.remote import FabricExecutor
-
-            self._fabric = FabricExecutor(self.fabric_address)
-        return self._fabric
-
-    def fabric_stats(self) -> dict:
-        """Live counters/roster of the connected fabric master."""
-        if self.fabric_address is None:
-            raise ReproError("no fabric is configured "
-                             f"(set {ENV_FABRIC} or fabric=)")
-        return self._ensure_fabric().stats()
-
     # -- cancellation ------------------------------------------------------
     def _new_token(self, key: str) -> _CancelToken:
         """A fresh cancellation generation for ``key`` (caller holds
@@ -354,14 +311,11 @@ class Client:
             if token is not None:
                 token.requested = True
             cancel_dir = self._cancel_dir
-            fabric = self._fabric
         if token is not None and cancel_dir is not None:
             try:
                 (cancel_dir / token.marker).touch()
             except OSError:  # pragma: no cover - cancel is best-effort
                 pass
-        if fabric is not None:
-            fabric.cancel(key)
 
     # -- submission --------------------------------------------------------
     def submit(self, spec: RunSpec) -> RunHandle:
@@ -464,12 +418,7 @@ class Client:
                 handles[index] = RunHandle(spec, key, future, self,
                                            "executed")
 
-            if pending and os.environ.get(ENV_REQUIRE_HIT) == "1" \
-                    and self.fabric_address is None:
-                # With a fabric, enforcement moves to the fleet: the
-                # master's store read-through answers warm specs, and
-                # any spec that does reach a worker trips the same
-                # check inside execute_spec there.
+            if pending and os.environ.get(ENV_REQUIRE_HIT) == "1":
                 missed = ", ".join(
                     f"{key[:12]}… ({spec.benchmark!r})"
                     for _, key, spec in pending[:4])
@@ -490,15 +439,6 @@ class Client:
             tokens[key] = self._new_token(key)
             self._inflight[key] = batch_futures[key]
             self._finalize(key, batch_futures[key])
-
-        if self.fabric_address is not None:
-            # Fleet backend: one submit request to the master; the
-            # executor's poller resolves the futures as workers
-            # finish.  Cancellation rides _request_cancel -> master.
-            self._ensure_fabric().dispatch(
-                [(key, spec) for _, key, spec in pending],
-                {key: batch_futures[key] for _, key, _ in pending})
-            return
 
         executor = self._ensure_executor()
         store = self.store if self.store is not None else False

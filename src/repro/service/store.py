@@ -23,39 +23,19 @@ Concurrency and failure model:
   :data:`~repro.service.serialization.SCHEMA_VERSION` is left in place
   but reported as a miss; the subsequent ``put`` overwrites it with a
   current document.
-* **The index is advisory.**  ``index.sqlite`` in the store root
-  memoizes ``(key, schema, size)`` per entry so ``count()`` and the
-  fabric master's stats never have to glob a large directory; it is
-  maintained write-through by ``put``, rebuilt from the filesystem by
-  ``reindex()``, and every reader falls back to a directory scan if
-  SQLite is unavailable or the file is damaged — the JSON documents
-  remain the only ground truth.
-
-``gc()`` is the compaction companion: it reclaims quarantined
-corpses, abandoned temporary files and (optionally) entries stamped
-with a stale schema version, leaving live current-schema records
-untouched, then rebuilds the index.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
-import threading
 import warnings
 from pathlib import Path
 from typing import Iterator
 
-try:
-    import sqlite3
-except ImportError:  # pragma: no cover - stdlib, but stay optional
-    sqlite3 = None  # type: ignore[assignment]
-
 from repro.errors import StoreError
 from repro.runner.spec import RunRecord
 from repro.service.serialization import (
-    SCHEMA_VERSION,
     SchemaMismatchError,
     dumps_record,
     loads_record,
@@ -67,10 +47,6 @@ __all__ = ["ENV_RESULT_STORE", "ResultStore", "StoreWarning"]
 ENV_RESULT_STORE = "REPRO_RESULT_STORE"
 
 _QUARANTINE = "quarantine"
-
-#: SQLite index file kept next to the entries (shared by every
-#: process that opens the store; advisory — see module docstring).
-_INDEX_NAME = "index.sqlite"
 
 
 class StoreWarning(UserWarning):
@@ -91,9 +67,6 @@ class ResultStore:
         self.writes = 0
         self.quarantined = 0
         self.schema_misses = 0
-        self._index_conn = None
-        self._index_dead = sqlite3 is None
-        self._index_lock = threading.Lock()
 
     @classmethod
     def from_env(cls) -> "ResultStore | None":
@@ -117,196 +90,10 @@ class ResultStore:
             # A racing reader quarantined it first; nothing to move.
             return
         self.quarantined += 1
-        self._index_drop(path.stem)
         warnings.warn(
             f"result store quarantined corrupted entry {path.name} "
             f"-> {target.relative_to(self.root)}: {reason}",
             StoreWarning, stacklevel=3)
-
-    # -- index -------------------------------------------------------------
-    @property
-    def index_path(self) -> Path:
-        return self.root / _INDEX_NAME
-
-    def _index(self):
-        """The shared SQLite index connection, or None when SQLite is
-        unavailable or the index file is unusable (the store then
-        falls back to directory scans — never an exception)."""
-        if self._index_dead:
-            return None
-        with self._index_lock:
-            if self._index_conn is not None:
-                return self._index_conn
-            try:
-                conn = sqlite3.connect(
-                    self.index_path, timeout=5.0,
-                    check_same_thread=False)
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS entries ("
-                    "  key    TEXT PRIMARY KEY,"
-                    "  schema INTEGER,"
-                    "  size   INTEGER NOT NULL)")
-                conn.commit()
-                empty = conn.execute(
-                    "SELECT 1 FROM entries LIMIT 1").fetchone() is None
-            except Exception:
-                self._index_dead = True
-                return None
-            self._index_conn = conn
-        if empty and next(self.root.glob("*.json"), None) is not None:
-            # Pre-index store directory (or a rebuilt index file):
-            # adopt the existing entries so count() is right from the
-            # first call.
-            self.reindex()
-        return self._index_conn
-
-    def _index_put(self, key: str, schema: "int | None",
-                   size: int) -> None:
-        conn = self._index()
-        if conn is None:
-            return
-        try:
-            with self._index_lock:
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries (key, schema, size)"
-                    " VALUES (?, ?, ?)", (key, schema, size))
-                conn.commit()
-        except Exception:
-            # Advisory index: a locked or damaged file never blocks a
-            # write that already landed on the filesystem.
-            self._index_dead = True
-
-    def _index_drop(self, key: str) -> None:
-        conn = self._index()
-        if conn is None:
-            return
-        try:
-            with self._index_lock:
-                conn.execute("DELETE FROM entries WHERE key = ?",
-                             (key,))
-                conn.commit()
-        except Exception:
-            self._index_dead = True
-
-    def count(self) -> int:
-        """Number of entries, from the index when available (O(1) for
-        the fabric master's stats) with a directory-scan fallback."""
-        conn = self._index()
-        if conn is not None:
-            try:
-                with self._index_lock:
-                    row = conn.execute(
-                        "SELECT COUNT(*) FROM entries").fetchone()
-                return int(row[0])
-            except Exception:
-                self._index_dead = True
-        return sum(1 for _ in self.keys())
-
-    def reindex(self) -> int:
-        """Rebuild the index from the filesystem (the ground truth);
-        returns the number of entries indexed.  Safe to call on a
-        store that predates the index or whose index drifted."""
-        rows = []
-        for path in self.root.glob("*.json"):
-            try:
-                data = path.read_bytes()
-                schema = json.loads(data).get("schema")
-                if not isinstance(schema, int):
-                    schema = None
-            except Exception:
-                data, schema = b"", None
-            rows.append((path.stem, schema, len(data)))
-        conn = self._index()
-        if conn is not None:
-            try:
-                with self._index_lock:
-                    conn.execute("DELETE FROM entries")
-                    conn.executemany(
-                        "INSERT OR REPLACE INTO entries "
-                        "(key, schema, size) VALUES (?, ?, ?)", rows)
-                    conn.commit()
-            except Exception:
-                self._index_dead = True
-        return len(rows)
-
-    # -- compaction --------------------------------------------------------
-    def gc(self, keep_latest_schema: bool = True) -> dict:
-        """Compact the store directory.
-
-        Reclaims quarantined corpses, abandoned ``.tmp-*`` files from
-        killed writers, undecodable entries, and — when
-        ``keep_latest_schema`` — entries stamped with a schema version
-        other than the current one (they are dead weight: every read
-        already treats them as misses).  Live current-schema records
-        are never touched.  Rebuilds the index afterwards and returns
-        a summary dict.
-        """
-        removed_quarantined = removed_tmp = 0
-        removed_stale_schema = removed_corrupt = 0
-        reclaimed = 0
-
-        qdir = self.root / _QUARANTINE
-        if qdir.is_dir():
-            for path in qdir.iterdir():
-                try:
-                    size = path.stat().st_size
-                    path.unlink()
-                except OSError:
-                    continue
-                removed_quarantined += 1
-                reclaimed += size
-            try:
-                qdir.rmdir()
-            except OSError:  # pragma: no cover - racing writer
-                pass
-
-        for path in self.root.glob(".tmp-*"):
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-            removed_tmp += 1
-            reclaimed += size
-
-        kept = 0
-        for path in self.root.glob("*.json"):
-            try:
-                payload = json.loads(path.read_bytes())
-                schema = payload["schema"] if isinstance(payload, dict) \
-                    else None
-            except Exception:
-                schema = None
-            if schema is None:
-                stale = True  # undecodable: any reader would quarantine
-            elif keep_latest_schema:
-                stale = schema != SCHEMA_VERSION
-            else:
-                stale = False
-            if not stale:
-                kept += 1
-                continue
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-            if schema is None:
-                removed_corrupt += 1
-            else:
-                removed_stale_schema += 1
-            reclaimed += size
-
-        self.reindex()
-        return {
-            "kept": kept,
-            "removed_quarantined": removed_quarantined,
-            "removed_tmp": removed_tmp,
-            "removed_stale_schema": removed_stale_schema,
-            "removed_corrupt": removed_corrupt,
-            "reclaimed_bytes": reclaimed,
-        }
 
     # -- mapping -----------------------------------------------------------
     def get(self, key: str) -> RunRecord | None:
@@ -341,7 +128,6 @@ class ResultStore:
         tmp.write_bytes(payload)
         os.replace(tmp, path)
         self.writes += 1
-        self._index_put(key, SCHEMA_VERSION, len(payload))
         return path
 
     def __contains__(self, key: str) -> bool:

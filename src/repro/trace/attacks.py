@@ -291,6 +291,15 @@ def _inject_uaf(trace: Trace, count: int, min_seq: int,
     last_load_seq = records[loads[-1]].seq if loads else -1
     freed = [o for o in freed if o.free_seq + 1100 <= last_load_seq]
     if not freed:
+        # Every free in range came too late to age (a short phase
+        # stretched to the UaF floor): plant frees clear of the end.
+        _synthesize_frees(trace, count, min_seq)
+        freed = sorted((o for o in trace.objects
+                        if o.free_seq is not None
+                        and o.free_seq >= min_seq
+                        and o.free_seq + 1100 <= last_load_seq),
+                       key=lambda o: o.free_seq)
+    if not freed:
         raise TraceError(
             "every freed object sits too close to the trace end for "
             "its quarantine to age; increase the trace length")

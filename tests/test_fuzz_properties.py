@@ -10,7 +10,7 @@ and in-process corpus determinism.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -68,6 +68,12 @@ class TestCampaignInvariants:
 
     @settings(max_examples=10, deadline=None)
     @given(config=_CONFIGS, index=st.integers(min_value=0, max_value=7))
+    # Every free of this phase trails its last load by < 1100 records,
+    # so the UaF plan must plant its own frees.
+    @example(config=FuzzConfig(seed=86749, campaigns=8, min_phase=700,
+                               max_phase=700, max_plans=2,
+                               attack_free_every=0),
+             index=2)
     def test_composed_campaign_invariants(self, config, index):
         case = fuzz_case(config, index)
         trace, sites = compose_trace(case.scenario, case.seed)

@@ -125,93 +125,28 @@ class TestRobustness:
                 if p.name.startswith(".tmp-")] == []
 
 
-class TestIndexAndCompaction:
-    def _stored(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        record = rich_record()
-        key = record.spec.cache_key()
-        store.put(key, record)
-        return store, record, key
-
-    def test_count_uses_write_through_index(self, tmp_path):
-        store, record, key = self._stored(tmp_path)
-        assert store.index_path.exists()
-        assert store.count() == 1
-        # A second opener of the same directory shares the index.
-        assert ResultStore(store.root).count() == 1
-
-    def test_missing_index_rebuilt_from_filesystem(self, tmp_path):
-        """A store populated before the index existed (or whose index
-        file was deleted) adopts its entries on first open — the JSON
-        documents are the ground truth."""
-        store, record, key = self._stored(tmp_path)
-        store.index_path.unlink()
-        fresh = ResultStore(store.root)
-        assert fresh.count() == 1
-        assert fresh.reindex() == 1
-
-    def test_count_degrades_to_directory_scan(self, tmp_path):
-        store, record, key = self._stored(tmp_path)
-        store._index_dead = True  # simulate an unusable index file
-        assert store.count() == 1
-        assert store.get(key) == record
-
-    def test_gc_reclaims_dead_weight_keeps_live(self, tmp_path):
-        """Satellite acceptance: gc() removes quarantined corpses,
-        abandoned temp files and stale-schema entries; live
-        current-schema records are untouched."""
-        store, record, key = self._stored(tmp_path)
-
-        # A quarantined corpse (corrupt entry hit by a reader).
-        other = "0" * 64
-        store.path_for(other).write_bytes(b"\x00garbage")
-        with pytest.warns(StoreWarning):
-            assert store.get(other) is None
-        # A stale-schema entry under another key.
-        stale_key = "1" * 64
-        payload = json.loads(store.path_for(key).read_bytes())
-        payload["schema"] = SCHEMA_VERSION + 7
-        store.path_for(stale_key).write_text(json.dumps(payload))
-        # An abandoned temp file from a killed writer.
-        (store.root / ".tmp-999-0-dead").write_bytes(b"partial")
-
-        summary = store.gc()
-        assert summary["kept"] == 1
-        assert summary["removed_quarantined"] == 1
-        assert summary["removed_stale_schema"] == 1
-        assert summary["removed_tmp"] == 1
-        assert summary["reclaimed_bytes"] > 0
-        assert not (store.root / "quarantine").exists()
-        assert not store.path_for(stale_key).exists()
-        # The live record survived, and the rebuilt index agrees.
-        assert store.get(key) == record
-        assert store.count() == 1
-
-    def test_gc_can_keep_stale_schemas(self, tmp_path):
-        store, record, key = self._stored(tmp_path)
-        stale_key = "2" * 64
-        payload = json.loads(store.path_for(key).read_bytes())
-        payload["schema"] = SCHEMA_VERSION + 7
-        store.path_for(stale_key).write_text(json.dumps(payload))
-        summary = store.gc(keep_latest_schema=False)
-        assert summary["removed_stale_schema"] == 0
-        assert store.path_for(stale_key).exists()
-
-
 class TestCrossProcessWarmHit:
-    def test_workers_2_second_client_simulates_nothing(self, tmp_path):
-        """Satellite acceptance: a grid executed by a 2-worker pool
-        lands in the store; a fresh 2-worker client answers the same
-        grid entirely from disk (zero dispatches), bit-identically."""
+    def test_workers_2_second_client_simulates_nothing(
+            self, tmp_path, monkeypatch):
+        """The cross-host recipe on one machine: two 2-worker clients
+        run disjoint halves of a grid concurrently into one store; a
+        fresh client under REPRO_REQUIRE_STORE_HIT=1 then assembles
+        the whole grid from disk (zero dispatches), bit-identically."""
         specs = small_specs()
+        halves = (specs[:len(specs) // 2], specs[len(specs) // 2:])
         store_dir = tmp_path / "store"
         runner_worker.clear_caches()
-        with Client(workers=2, store=store_dir, cache=False) as cold:
-            first = cold.run(specs)
-            assert cold.stats.executed == len(specs)
+        with Client(workers=2, store=store_dir, cache=False) as host_a, \
+                Client(workers=2, store=store_dir, cache=False) as host_b:
+            handles = (host_a.submit_many(halves[0])
+                       + host_b.submit_many(halves[1]))
+            first = [handle.result(timeout=300) for handle in handles]
+            assert host_a.stats.executed == len(halves[0])
+            assert host_b.stats.executed == len(halves[1])
         assert len(ResultStore(store_dir)) == len(specs)
 
         runner_worker.clear_caches()  # no per-process reuse either
+        monkeypatch.setenv("REPRO_REQUIRE_STORE_HIT", "1")
         with Client(workers=2, store=store_dir, cache=False) as warm:
             second = warm.run(specs)
             assert warm.stats.executed == 0
