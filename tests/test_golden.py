@@ -23,7 +23,14 @@ The grid:
   and few engines, NoC traffic with detections, multi-kernel, an
   accelerator), a non-integer clock ratio and heavy back-pressure;
 * ``scenario-*`` — two multi-phase scenarios × two kernels, in memory
-  and streamed.
+  and streamed;
+* ``standalone-*`` — ``MainCore().run_standalone``, the baseline and
+  software-instrumentation runs: {swaptions, dedup} × {clean, 4 OOB
+  attacks} in memory, one streamed clean trace, and every
+  :data:`~repro.baselines.instrument.SCHEMES` entry over one clean
+  trace, seed 11, 4000 records.  These cells have no session loop;
+  each pins every :class:`~repro.ooo.core.CoreResult` counter plus the
+  predictor, TAGE, FU-pool, PRF, cache, DRAM and TLB statistics.
 
 The test never writes the file.  To record it (only when a change is
 *meant* to alter results, and never in the same commit as code that
@@ -37,15 +44,17 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from repro.baselines.instrument import SCHEMES, instrument_trace
 from repro.core.config import FireGuardConfig
 from repro.core.system import FireGuardSystem
 from repro.kernels import make_kernel
 from repro.kernels.pmc import DEFAULT_BOUND_HI, DEFAULT_BOUND_LO
+from repro.ooo.core import MainCore
 from repro.service.serialization import _result_to_dict, canonical_dumps
 from repro.sim import SimulationSession
 from repro.trace.attacks import AttackKind, AttackPlan, inject_attacks
@@ -70,6 +79,29 @@ def result_digest(result) -> str:
     """The golden digest of one :class:`SystemResult`."""
     return hashlib.sha256(
         canonical_dumps(_result_to_dict(result))).hexdigest()
+
+
+def standalone_counters(core: MainCore) -> dict[str, int]:
+    """Every counter a standalone run leaves on ``core``."""
+    result = core.result
+    counters = {f.name: getattr(result, f.name) for f in fields(result)
+                if f.name != "commit_times"}
+    predictor = core.predictor
+    counters.update(
+        predictor_branches=predictor.stat_branches,
+        predictor_mispredicts=predictor.stat_mispredicts,
+        tage_lookups=predictor.tage.stat_lookups,
+        tage_mispredicts=predictor.tage.stat_mispredicts)
+    hierarchy = core.hierarchy
+    for prefix, component in (
+            ("fu", core.fu_pool), ("prf", core.prf),
+            ("l1i", hierarchy.l1i), ("l1d", hierarchy.l1d),
+            ("l2", hierarchy.l2), ("llc", hierarchy.llc),
+            ("dram", hierarchy.dram), ("itlb", hierarchy.itlb),
+            ("dtlb", hierarchy.dtlb)):
+        counters.update({f"{prefix}_{name}": value
+                         for name, value in component.stats().items()})
+    return counters
 
 
 class Cell:
@@ -266,6 +298,31 @@ CELLS: dict[str, Cell] = {
     **_identity_cells(), **_attack_cells(), **_fuzz_cells(),
     **_ab_cells(), **_scenario_cells()}
 
+
+def _instrumented(make, scheme):
+    def make_instrumented():
+        return instrument_trace(make(), SCHEMES[scheme])
+    return make_instrumented
+
+
+def _standalone_cells() -> dict:
+    """Trace-source factories for the ``standalone-*`` cells."""
+    cells = {}
+    for bench in ("swaptions", "dedup"):
+        for label, attack in (("clean", None),
+                              ("oob", AttackKind.OOB_ACCESS)):
+            cells[f"standalone-{bench}-{label}-mem"] = _in_memory(
+                _generated(bench, 11, 4000, attack, 4))
+    clean = _generated("dedup", 11, 4000)
+    cells["standalone-dedup-clean-stream"] = _saved(clean)
+    for scheme in SCHEMES:
+        cells[f"standalone-dedup-{scheme}-mem"] = _in_memory(
+            _instrumented(clean, scheme))
+    return cells
+
+
+STANDALONE: dict = _standalone_cells()
+
 LOOPS = {"dense": True, "event": False}
 
 
@@ -278,12 +335,20 @@ def run_cell(name: str, dense: bool, workdir):
     return result
 
 
+def run_standalone_cell(name: str, workdir) -> str:
+    """Digest of the counters one standalone cell leaves behind."""
+    core = MainCore()
+    core.run_standalone(STANDALONE[name](workdir)())
+    return hashlib.sha256(
+        canonical_dumps(standalone_counters(core))).hexdigest()
+
+
 def load_golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
 def test_golden_file_covers_the_grid():
-    assert set(load_golden()) == set(CELLS)
+    assert set(load_golden()) == set(CELLS) | set(STANDALONE)
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))
@@ -294,6 +359,14 @@ def test_matches_golden(name, loop, tmp_path):
     result = run_cell(name, LOOPS[loop], tmp_path)
     assert result_digest(result) == golden[name], \
         f"{name} under the {loop} loop diverged from its golden digest"
+
+
+@pytest.mark.parametrize("name", sorted(STANDALONE))
+def test_standalone_matches_golden(name, tmp_path):
+    golden = load_golden()
+    assert name in golden, f"{name} has no recorded digest"
+    assert run_standalone_cell(name, tmp_path) == golden[name], \
+        f"{name} diverged from its golden digest"
 
 
 def record() -> None:
@@ -307,6 +380,9 @@ def record() -> None:
             if len(set(per_loop.values())) != 1:
                 raise SystemExit(f"{name}: loops disagree {per_loop}")
             digests[name] = per_loop["dense"]
+            print(f"{name:48} {digests[name][:16]}")
+        for name in sorted(STANDALONE):
+            digests[name] = run_standalone_cell(name, workdir)
             print(f"{name:48} {digests[name][:16]}")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     data = (json.dumps(digests, indent=1, sort_keys=True) + "\n").encode()
