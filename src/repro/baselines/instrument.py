@@ -29,22 +29,24 @@ _SCRATCH_A = 4    # tp — never used by the workload generator
 _SCRATCH_B = 10   # a0
 _SCRATCH_C = 11   # a1
 
-_WORD_CACHE: dict[tuple, int] = {}
+# ``(word, opcode, funct3, iclass)`` per encoded instruction.
+_WORD_CACHE: dict[tuple, tuple[int, int, int, InstrClass]] = {}
 
 
 def _mk(seq: int, pc: int, mnemonic: str, rd: int = 0, rs1: int = 0,
         rs2: int = 0, mem_addr: int | None = None, mem_size: int = 0,
         srcs: tuple[int, ...] = (), dst: int | None = None) -> InstrRecord:
     key = (mnemonic, rd, rs1, rs2)
-    word = _WORD_CACHE.get(key)
-    if word is None:
+    encoded = _WORD_CACHE.get(key)
+    if encoded is None:
         word = encode_instr(mnemonic, rd=rd, rs1=rs1, rs2=rs2)
-        _WORD_CACHE[key] = word
-    decoded = decode(word)
-    return InstrRecord(seq=seq, pc=pc, word=word, opcode=decoded.opcode,
-                       funct3=decoded.funct3, iclass=decoded.iclass,
-                       dst=dst, srcs=srcs, mem_addr=mem_addr,
-                       mem_size=mem_size)
+        decoded = decode(word)
+        encoded = (word, decoded.opcode, decoded.funct3, decoded.iclass)
+        _WORD_CACHE[key] = encoded
+    word, opcode, funct3, iclass = encoded
+    return InstrRecord(seq=seq, pc=pc, word=word, opcode=opcode,
+                       funct3=funct3, iclass=iclass, dst=dst, srcs=srcs,
+                       mem_addr=mem_addr, mem_size=mem_size)
 
 
 @dataclass(frozen=True)

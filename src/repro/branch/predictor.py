@@ -55,9 +55,7 @@ class FrontEndPredictor:
         mispredicted = False
 
         if iclass is InstrClass.BRANCH:
-            predicted_taken = self.tage.predict(pc)
-            self.tage.update(pc, taken)
-            mispredicted = predicted_taken != taken
+            mispredicted = self.tage.predict_and_update(pc, taken) != taken
         elif iclass is InstrClass.CALL:
             # Direct calls always predict; push the return address.
             self.ras.push(pc + 4)

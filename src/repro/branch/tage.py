@@ -67,69 +67,93 @@ class TagePredictor:
         ]
         self._base = [1] * (1 << self.params.base_bits)  # 2-bit, 1 = weak NT
         self._history = 0  # global history as an int, newest bit at LSB
+        self._history_masks = [(1 << length) - 1 for length in self._lengths]
         self._alloc_tick = 0
+        # Index and tag of each table the last lookup probed: every
+        # table longer than its provider (all tables when none hit).
+        self._probe_idx = [0] * len(self._lengths)
+        self._probe_tag = [0] * len(self._lengths)
         self.stat_lookups = 0
         self.stat_mispredicts = 0
 
     # -- indexing ----------------------------------------------------------
-    def _fold(self, history: int, length: int, bits: int) -> int:
-        """Fold the low ``length`` history bits into ``bits`` bits."""
-        h = history & ((1 << length) - 1)
-        folded = 0
-        while h:
-            folded ^= h & ((1 << bits) - 1)
-            h >>= bits
-        return folded
-
-    def _index(self, pc: int, table: int) -> int:
-        bits = self.params.table_bits
-        folded = self._fold(self._history, self._lengths[table], bits)
-        return ((pc >> 2) ^ folded ^ (table * 0x9E37)) & ((1 << bits) - 1)
-
-    def _tag(self, pc: int, table: int) -> int:
-        bits = self.params.tag_bits
-        folded = self._fold(self._history, self._lengths[table], bits - 1)
-        return ((pc >> 2) ^ (folded << 1) ^ table) & ((1 << bits) - 1)
-
     def _base_index(self, pc: int) -> int:
         return (pc >> 2) & ((1 << self.params.base_bits) - 1)
+
+    def _lookup(self, pc: int) -> int:
+        """Probe the tagged tables longest history first and return the
+        provider (the longest table whose tag matches), or -1.
+
+        Table ``t`` folds its ``lengths[t]`` newest history bits into
+        ``table_bits`` bits for the index and ``tag_bits - 1`` bits for
+        the tag, XOR-ing successive chunks.  Each probed table's index
+        and tag stay in ``_probe_idx`` / ``_probe_tag`` for the update
+        and allocation that follow."""
+        params = self.params
+        idx_bits = params.table_bits
+        idx_mask = (1 << idx_bits) - 1
+        tag_fold_bits = params.tag_bits - 1
+        tag_fold_mask = (1 << tag_fold_bits) - 1
+        tag_mask = (1 << params.tag_bits) - 1
+        history = self._history
+        history_masks = self._history_masks
+        probe_idx = self._probe_idx
+        probe_tag = self._probe_tag
+        tables = self._tables
+        pc_bits = pc >> 2
+        for table in range(len(history_masks) - 1, -1, -1):
+            h = history & history_masks[table]
+            folded = 0
+            while h:
+                folded ^= h & idx_mask
+                h >>= idx_bits
+            idx = (pc_bits ^ folded ^ (table * 0x9E37)) & idx_mask
+            h = history & history_masks[table]
+            folded = 0
+            while h:
+                folded ^= h & tag_fold_mask
+                h >>= tag_fold_bits
+            tag = (pc_bits ^ (folded << 1) ^ table) & tag_mask
+            probe_idx[table] = idx
+            probe_tag[table] = tag
+            if tables[table][idx].tag == tag:
+                return table
+        return -1
+
+    def _predicted(self, pc: int, provider: int) -> bool:
+        if provider >= 0:
+            return self._tables[provider][self._probe_idx[provider]].ctr >= 0
+        return self._base[self._base_index(pc)] >= 2
 
     # -- prediction --------------------------------------------------------
     def predict(self, pc: int) -> bool:
         """Predict taken/not-taken for the branch at ``pc``."""
         self.stat_lookups += 1
-        provider, _ = self._find_provider(pc)
-        if provider is not None:
-            table, idx = provider
-            return self._tables[table][idx].ctr >= 0
-        return self._base[self._base_index(pc)] >= 2
-
-    def _find_provider(self, pc: int):
-        """Longest matching tagged table, plus any alternate match."""
-        provider = None
-        alt = None
-        for table in range(len(self._lengths) - 1, -1, -1):
-            idx = self._index(pc, table)
-            if self._tables[table][idx].tag == self._tag(pc, table):
-                if provider is None:
-                    provider = (table, idx)
-                else:
-                    alt = (table, idx)
-                    break
-        return provider, alt
+        return self._predicted(pc, self._lookup(pc))
 
     # -- update ------------------------------------------------------------
     def update(self, pc: int, taken: bool) -> None:
         """Train on the resolved outcome and shift global history."""
-        provider, _ = self._find_provider(pc)
-        predicted = self.predict_quietly(pc, provider)
+        provider = self._lookup(pc)
+        self._train(pc, taken, provider, self._predicted(pc, provider))
+
+    def predict_and_update(self, pc: int, taken: bool) -> bool:
+        """``predict(pc)`` then ``update(pc, taken)`` from one table
+        walk; returns the prediction."""
+        self.stat_lookups += 1
+        provider = self._lookup(pc)
+        predicted = self._predicted(pc, provider)
+        self._train(pc, taken, provider, predicted)
+        return predicted
+
+    def _train(self, pc: int, taken: bool, provider: int,
+               predicted: bool) -> None:
         mispredicted = predicted != taken
         if mispredicted:
             self.stat_mispredicts += 1
 
-        if provider is not None:
-            table, idx = provider
-            entry = self._tables[table][idx]
+        if provider >= 0:
+            entry = self._tables[provider][self._probe_idx[provider]]
             entry.ctr = self._update_ctr(entry.ctr, taken, -4, 3)
             if not mispredicted:
                 entry.useful = min(entry.useful + 1, 3)
@@ -139,29 +163,22 @@ class TagePredictor:
             self._base[bidx] = min(ctr + 1, 3) if taken else max(ctr - 1, 0)
 
         if mispredicted:
-            self._allocate(pc, taken, provider)
+            self._allocate(taken, provider)
 
         self._history = ((self._history << 1) | (1 if taken else 0)) \
             & ((1 << self.params.max_history) - 1)
-
-    def predict_quietly(self, pc: int, provider) -> bool:
-        if provider is not None:
-            table, idx = provider
-            return self._tables[table][idx].ctr >= 0
-        return self._base[self._base_index(pc)] >= 2
 
     @staticmethod
     def _update_ctr(ctr: int, taken: bool, lo: int, hi: int) -> int:
         return min(ctr + 1, hi) if taken else max(ctr - 1, lo)
 
-    def _allocate(self, pc: int, taken: bool, provider) -> None:
+    def _allocate(self, taken: bool, provider: int) -> None:
         """Allocate an entry in a longer-history table on mispredict."""
-        start = provider[0] + 1 if provider is not None else 0
+        start = provider + 1
         for table in range(start, len(self._lengths)):
-            idx = self._index(pc, table)
-            entry = self._tables[table][idx]
+            entry = self._tables[table][self._probe_idx[table]]
             if entry.useful == 0:
-                entry.tag = self._tag(pc, table)
+                entry.tag = self._probe_tag[table]
                 entry.ctr = 0 if taken else -1
                 return
         # No free entry: age useful counters (periodic decay).

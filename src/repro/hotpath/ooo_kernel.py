@@ -146,7 +146,7 @@ def _schedule(core: Any, st: "list[int]", reg_ready: "list[int]",
 
     # PRF read ports (shared with the forwarding channel).
     ready = core.prf.acquire_read_ports(ready, len(srcs))
-    issue = core.fu_pool.acquire(iclass, ready)
+    issue, latency = core.fu_pool.acquire(iclass, ready)
 
     if iclass is IC_LOAD:
         latency = core.hierarchy.access_data(record.mem_addr,
@@ -157,8 +157,6 @@ def _schedule(core: Any, st: "list[int]", reg_ready: "list[int]",
         latency = st[LAT_STORE]
         latency += core.hierarchy.dtlb.translate(record.mem_addr)
         core.hierarchy.l1d.lookup(record.mem_addr, issue, st[L2_HIT])
-    else:
-        latency = core.fu_pool.latency(iclass)
 
     completion = issue + latency
     dst = record.dst

@@ -331,13 +331,26 @@ class MainCore:
 
     def run_standalone(self, trace: Trace,
                        max_cycles: int = 50_000_000) -> CoreResult:
-        """Run a trace to completion without FireGuard attached."""
+        """Run a trace to completion without FireGuard attached.
+
+        Provable stall windows (:meth:`stall_window`) are accounted in
+        one batch instead of stepped, clamped at ``max_cycles``: the
+        counters match a cycle-by-cycle run exactly, including on a
+        timeout."""
         self.begin(trace)
         cycle = 0
         while not self.done:
             if cycle >= max_cycles:
                 raise SimulationError(
-                    f"core did not finish within {max_cycles} cycles")
+                    f"core did not finish within {max_cycles} cycles "
+                    f"(trace {trace.name}, seed {trace.seed}): committed "
+                    f"{self.result.committed} of {len(trace)} records")
+            window = self.stall_window(cycle)
+            if window is not None:
+                until = min(window[0], max_cycles)
+                self.skip_stalls(cycle, until, window[1])
+                cycle = until
+                continue
             self.step(cycle)
             cycle += 1
         return self.result

@@ -29,35 +29,38 @@ class FunctionalUnitPool(Instrumented):
 
     def __init__(self, units: dict[str, FuParams],
                  class_map: dict[InstrClass, str]):
-        self._params = units
-        self._class_map = class_map
         self._next_free: dict[str, list[int]] = {
             name: [0] * p.count for name, p in units.items()
+        }
+        # iclass -> (the unit type's next-free cycles, latency,
+        # initiation interval); classes sharing a unit type share its
+        # list, which reset() clears in place.
+        self._by_class = {
+            iclass: (self._next_free[name], units[name].latency,
+                     units[name].initiation_interval)
+            for iclass, name in class_map.items()
         }
         self.stat_structural_waits = 0
 
     def reset(self) -> None:
         """Free every unit and zero counters (session reset)."""
-        for name, params in self._params.items():
-            self._next_free[name] = [0] * params.count
+        for frees in self._next_free.values():
+            frees[:] = [0] * len(frees)
         self.reset_stats()
 
-    def unit_for(self, iclass: InstrClass) -> str:
-        name = self._class_map.get(iclass)
-        if name is None:
+    def acquire(self, iclass: InstrClass,
+                earliest: int) -> tuple[int, int]:
+        """Claim a unit at or after ``earliest``; return the issue cycle
+        and the unit's latency."""
+        unit = self._by_class.get(iclass)
+        if unit is None:
             raise ConfigError(f"no functional unit mapped for {iclass}")
-        return name
-
-    def latency(self, iclass: InstrClass) -> int:
-        return self._params[self.unit_for(iclass)].latency
-
-    def acquire(self, iclass: InstrClass, earliest: int) -> int:
-        """Claim a unit at or after ``earliest``; return the issue cycle."""
-        name = self.unit_for(iclass)
-        frees = self._next_free[name]
-        best = min(range(len(frees)), key=frees.__getitem__)
-        issue = max(earliest, frees[best])
+        frees, latency, interval = unit
+        best = 0 if len(frees) == 1 else frees.index(min(frees))
+        issue = frees[best]
         if issue > earliest:
             self.stat_structural_waits += issue - earliest
-        frees[best] = issue + self._params[name].initiation_interval
-        return issue
+        else:
+            issue = earliest
+        frees[best] = issue + interval
+        return issue, latency

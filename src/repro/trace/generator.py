@@ -39,16 +39,20 @@ LINE_BYTES = 64
 # Static slot kinds.
 _LOAD, _STORE, _BRANCH, _CALL, _FP, _MUL, _DIV, _ALU, _EVENT = range(9)
 
-# Pre-encoded words for the hot paths (encoding is deterministic).
-_WORD_CACHE: dict[tuple, int] = {}
+# Pre-encoded words for the hot paths (encoding is deterministic),
+# each with the decoded fields a record carries:
+# ``(word, opcode, funct3, iclass)``.
+_WORD_CACHE: dict[tuple, tuple[int, int, int, InstrClass]] = {}
 
 
 def _word(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0,
-          imm: int = 0) -> int:
+          imm: int = 0) -> tuple[int, int, int, InstrClass]:
     key = (mnemonic, rd, rs1, rs2, imm)
     cached = _WORD_CACHE.get(key)
     if cached is None:
-        cached = encode_instr(mnemonic, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
+        word = encode_instr(mnemonic, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
+        decoded = decode(word)
+        cached = (word, decoded.opcode, decoded.funct3, decoded.iclass)
         _WORD_CACHE[key] = cached
     return cached
 
@@ -296,21 +300,21 @@ class TraceGenerator:
         return self._func.base + self._slot * 4
 
     # -- per-kind emitters ----------------------------------------------
-    def _emit(self, seq: int, pc: int, word: int,
+    def _emit(self, seq: int, pc: int,
+              encoded: tuple[int, int, int, InstrClass],
               iclass: InstrClass | None = None, **fields) -> InstrRecord:
-        decoded = decode(word)
+        word, opcode, funct3, decoded_class = encoded
         return InstrRecord(
-            seq=seq, pc=pc, word=word, opcode=decoded.opcode,
-            funct3=decoded.funct3,
-            iclass=iclass if iclass is not None else decoded.iclass,
+            seq=seq, pc=pc, word=word, opcode=opcode, funct3=funct3,
+            iclass=iclass if iclass is not None else decoded_class,
             **fields)
 
     def _exec_load(self, seq: int, slot: _Slot) -> InstrRecord:
         dst = self._next_dst()
         addr_reg = self._addr_reg()
         mnemonic = {8: "ld", 4: "lw", 1: "lbu"}[slot.size]
-        word = _word(mnemonic, rd=dst, rs1=addr_reg, imm=0)
-        rec = self._emit(seq, self._pc, word, dst=dst, srcs=(addr_reg,),
+        encoded = _word(mnemonic, rd=dst, rs1=addr_reg, imm=0)
+        rec = self._emit(seq, self._pc, encoded, dst=dst, srcs=(addr_reg,),
                          mem_addr=self._mem_addr(), mem_size=slot.size,
                          result=self._rng.next_u64())
         self._recent_dsts.append(dst)
@@ -321,8 +325,8 @@ class TraceGenerator:
         addr_reg = self._addr_reg()
         data_reg = self._dep_src()
         mnemonic = {8: "sd", 4: "sw", 1: "sb"}[slot.size]
-        word = _word(mnemonic, rs1=addr_reg, rs2=data_reg, imm=0)
-        rec = self._emit(seq, self._pc, word, srcs=(addr_reg, data_reg),
+        encoded = _word(mnemonic, rs1=addr_reg, rs2=data_reg, imm=0)
+        rec = self._emit(seq, self._pc, encoded, srcs=(addr_reg, data_reg),
                          mem_addr=self._mem_addr(), mem_size=slot.size,
                          result=self._rng.next_u64())
         self._recent_dsts.append(None)
@@ -331,9 +335,9 @@ class TraceGenerator:
 
     def _exec_counter(self, seq: int) -> InstrRecord:
         """Loop-counter update: addi x7, x7, 1 (self-recurring)."""
-        word = _word("addi", rd=self._COUNTER_REG, rs1=self._COUNTER_REG,
-                     imm=1)
-        rec = self._emit(seq, self._pc, word, dst=self._COUNTER_REG,
+        encoded = _word("addi", rd=self._COUNTER_REG,
+                        rs1=self._COUNTER_REG, imm=1)
+        rec = self._emit(seq, self._pc, encoded, dst=self._COUNTER_REG,
                          srcs=(self._COUNTER_REG,),
                          result=self._rng.next_u64())
         self._recent_dsts.append(None)
@@ -365,9 +369,9 @@ class TraceGenerator:
         else:
             rs1 = self._rng.choice(self._recent_alu_dsts)
             rs2 = self._rng.choice(self._recent_alu_dsts)
-        word = _word("bne", rs1=rs1, rs2=rs2, imm=0)
-        rec = self._emit(seq, self._pc, word, srcs=(rs1, rs2), taken=taken,
-                         target=target)
+        encoded = _word("bne", rs1=rs1, rs2=rs2, imm=0)
+        rec = self._emit(seq, self._pc, encoded, srcs=(rs1, rs2),
+                         taken=taken, target=target)
         self._recent_dsts.append(None)
         self._slot = slot.target_slot if taken else self._slot + 1
         return rec
@@ -375,8 +379,8 @@ class TraceGenerator:
     def _exec_call(self, seq: int, slot: _Slot) -> InstrRecord:
         callee = self._get_function(slot.callee)
         pc = self._pc
-        word = _word("jal", rd=1, imm=0)
-        rec = self._emit(seq, pc, word, dst=1, taken=True,
+        encoded = _word("jal", rd=1, imm=0)
+        rec = self._emit(seq, pc, encoded, dst=1, taken=True,
                          target=callee.base, result=pc + 4)
         self._call_stack.append((self._func.index, self._slot + 1, pc + 4))
         self._recent_dsts.append(1)
@@ -389,8 +393,8 @@ class TraceGenerator:
         site = self._pc
         callee_idx = self._callee_for_site(site)
         callee = self._get_function(callee_idx)
-        word = _word("jal", rd=1, imm=0)
-        rec = self._emit(seq, site, word, dst=1, taken=True,
+        encoded = _word("jal", rd=1, imm=0)
+        rec = self._emit(seq, site, encoded, dst=1, taken=True,
                          target=callee.base, result=site + 4)
         self._call_stack.append((self._func.index, self._slot + 1,
                                  site + 4))
@@ -409,8 +413,8 @@ class TraceGenerator:
 
     def _exec_ret(self, seq: int) -> InstrRecord:
         func_idx, slot, return_pc = self._call_stack.pop()
-        word = _word("jalr", rd=0, rs1=1, imm=0)
-        rec = self._emit(seq, self._pc, word, srcs=(1,), taken=True,
+        encoded = _word("jalr", rd=0, rs1=1, imm=0)
+        rec = self._emit(seq, self._pc, encoded, srcs=(1,), taken=True,
                          target=return_pc)
         self._recent_dsts.append(None)
         self._func = self._get_function(func_idx)
@@ -423,14 +427,14 @@ class TraceGenerator:
         dst = self._next_dst()
         rs1, rs2 = self._dep_src(), self._dep_src()
         if kind == _FP:
-            word = _word("fadd", rd=dst, rs1=rs1, rs2=rs2)
+            encoded = _word("fadd", rd=dst, rs1=rs1, rs2=rs2)
         elif kind == _MUL:
-            word = _word("mul", rd=dst, rs1=rs1, rs2=rs2)
+            encoded = _word("mul", rd=dst, rs1=rs1, rs2=rs2)
         elif kind == _DIV:
-            word = _word("div", rd=dst, rs1=rs1, rs2=rs2)
+            encoded = _word("div", rd=dst, rs1=rs1, rs2=rs2)
         else:
-            word = _word("add", rd=dst, rs1=rs1, rs2=rs2)
-        rec = self._emit(seq, self._pc, word, dst=dst, srcs=(rs1, rs2),
+            encoded = _word("add", rd=dst, rs1=rs1, rs2=rs2)
+        rec = self._emit(seq, self._pc, encoded, dst=dst, srcs=(rs1, rs2),
                          result=self._rng.next_u64())
         self._recent_dsts.append(dst)
         if kind == _ALU:
@@ -452,8 +456,8 @@ class TraceGenerator:
         # of paying them serially on later random accesses.
         lines = min(32, max(1, size // LINE_BYTES))
         self._init_stores = [base + i * LINE_BYTES for i in range(lines)]
-        word = _word("custom0.f0", rd=0, rs1=10, rs2=11)
-        rec = self._emit(seq, self._pc, word, iclass=InstrClass.CUSTOM,
+        encoded = _word("custom0.f0", rd=0, rs1=10, rs2=11)
+        rec = self._emit(seq, self._pc, encoded, iclass=InstrClass.CUSTOM,
                          mem_addr=base, mem_size=size, result=size)
         self._recent_dsts.append(None)
         self._slot += 1
@@ -462,8 +466,8 @@ class TraceGenerator:
     def _exec_init_store(self, seq: int) -> InstrRecord:
         """One store of a fresh object's initialising memset."""
         addr = self._init_stores.pop(0)
-        word = _word("sd", rs1=10, rs2=0, imm=0)
-        rec = self._emit(seq, self._pc, word, srcs=(10,), mem_addr=addr,
+        encoded = _word("sd", rs1=10, rs2=0, imm=0)
+        rec = self._emit(seq, self._pc, encoded, srcs=(10,), mem_addr=addr,
                          mem_size=8, result=0)
         self._recent_dsts.append(None)
         self._slot += 1
@@ -473,8 +477,8 @@ class TraceGenerator:
         idx = self._rng.randint(0, len(self._live) - 1)
         obj = self._live.pop(idx)
         obj.free_seq = seq
-        word = _word("custom0.f1", rd=0, rs1=10)
-        rec = self._emit(seq, self._pc, word, iclass=InstrClass.CUSTOM,
+        encoded = _word("custom0.f1", rd=0, rs1=10)
+        rec = self._emit(seq, self._pc, encoded, iclass=InstrClass.CUSTOM,
                          mem_addr=obj.base, mem_size=obj.size,
                          result=obj.size)
         self._recent_dsts.append(None)

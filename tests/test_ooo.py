@@ -118,21 +118,22 @@ class TestFuPool:
 
     def test_parallel_units(self):
         pool = self._pool()
-        assert pool.acquire(InstrClass.INT_ALU, 0) == 0
-        assert pool.acquire(InstrClass.INT_ALU, 0) == 0
-        assert pool.acquire(InstrClass.INT_ALU, 0) == 1  # both busy
+        assert pool.acquire(InstrClass.INT_ALU, 0) == (0, 1)
+        assert pool.acquire(InstrClass.INT_ALU, 0) == (0, 1)
+        assert pool.acquire(InstrClass.INT_ALU, 0) == (1, 1)  # both busy
 
     def test_unpipelined_div(self):
         pool = self._pool()
-        assert pool.acquire(InstrClass.INT_DIV, 0) == 0
-        assert pool.acquire(InstrClass.INT_DIV, 1) == 8
+        assert pool.acquire(InstrClass.INT_DIV, 0) == (0, 8)
+        assert pool.acquire(InstrClass.INT_DIV, 1) == (8, 8)
 
     def test_unknown_class_raises(self):
         with pytest.raises(ConfigError):
             self._pool().acquire(InstrClass.FP_ALU, 0)
 
     def test_latency_lookup(self):
-        assert self._pool().latency(InstrClass.INT_DIV) == 8
+        _, latency = self._pool().acquire(InstrClass.INT_DIV, 0)
+        assert latency == 8
 
 
 class TestMainCore:
@@ -243,6 +244,29 @@ class TestMainCore:
         trace = make_trace([alu_record(i) for i in range(100)])
         with pytest.raises(SimulationError):
             core.run_standalone(trace, max_cycles=3)
+
+        # One cold DRAM load: after an icache-miss fetch stall the core
+        # only waits for the load (a drain window).  A timeout inside
+        # that window stops at max_cycles, not at the window's end.
+        load = InstrRecord(
+            seq=0, pc=0x1000, word=encode_instr("ld", rd=5, rs1=8),
+            opcode=0x03, funct3=3, iclass=InstrClass.LOAD, dst=5,
+            srcs=(8,), mem_addr=0x10000, mem_size=8)
+        trace = Trace(name="cold-load", seed=5, records=[load])
+        probe = MainCore()
+        probe.begin(trace)
+        probe.step(0)
+        fetch_end, _ = probe.stall_window(1)
+        drain_end, kind = probe.stall_window(fetch_end)
+        assert kind == "drain"
+        max_cycles = drain_end - 2
+        assert max_cycles > fetch_end
+        core = MainCore()
+        with pytest.raises(SimulationError,
+                           match="trace cold-load, seed 5.*0 of 1"):
+            core.run_standalone(trace, max_cycles=max_cycles)
+        assert core.result.cycles == max_cycles
+        assert core.result.stall_fetch == fetch_end - 1
 
     def test_mem_instructions_access_hierarchy(self):
         word = encode_instr("ld", rd=5, rs1=8)

@@ -137,12 +137,21 @@ class TestGenerator:
             TraceGenerator(PARSEC_PROFILES["x264"], seed=1, length=0)
 
     def test_words_decode_back(self):
+        # Records take opcode/funct3/iclass from the encoders' word
+        # caches, never from decode(): every one must agree with it,
+        # for generated and for instrumented records.
+        from repro.baselines.instrument import SCHEMES, instrument_trace
         from repro.isa.decode import decode
-        trace = small_trace(length=2000)
-        for rec in trace.records[:500]:
-            d = decode(rec.word)
-            assert d.opcode == rec.opcode
-            assert d.funct3 == rec.funct3
+        for name in ("swaptions", "dedup"):
+            trace = small_trace(name, length=2000)
+            traces = [trace] + [instrument_trace(trace, scheme)
+                                for scheme in SCHEMES.values()]
+            for checked in traces:
+                for rec in checked.records:
+                    d = decode(rec.word)
+                    assert (d.opcode, d.funct3, d.iclass) == \
+                        (rec.opcode, rec.funct3, rec.iclass), \
+                        f"{checked.name} record {rec.seq}"
 
 
 class TestAttacks:
