@@ -69,8 +69,9 @@ class TagePredictor:
         self._history = 0  # global history as an int, newest bit at LSB
         self._history_masks = [(1 << length) - 1 for length in self._lengths]
         self._alloc_tick = 0
-        # Index and tag of each table the last lookup probed: every
-        # table longer than its provider (all tables when none hit).
+        # Index and tag of each table the last lookup probed: the
+        # provider and every longer table (all tables when none hit),
+        # which are the ones an update or allocation touches.
         self._probe_idx = [0] * len(self._lengths)
         self._probe_tag = [0] * len(self._lengths)
         self.stat_lookups = 0
